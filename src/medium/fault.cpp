@@ -54,8 +54,8 @@ double FaultModel::link_loss(double rx_power_dbm) const {
   return cfg_.ambient_loss + (1.0 - cfg_.ambient_loss) * p;
 }
 
-support::Rng FaultModel::stream(std::uint64_t tx_radio,
-                                std::uint64_t frame_seq) const {
+std::uint64_t FaultModel::stream_seed(std::uint64_t tx_radio,
+                                     std::uint64_t frame_seq) const {
   // One stream per (seed, tx radio, frame sequence). Per-receiver erasure
   // draws consume from it sequentially in the medium's fanout order, which
   // is pinned to ascending radio id on every delivery path (the batched
@@ -63,7 +63,7 @@ support::Rng FaultModel::stream(std::uint64_t tx_radio,
   // slot order ≡ id order): each draw is therefore also keyed by the
   // receiver's rank, and lossy runs are bit-identical at any thread count
   // and under any Config delivery-mode toggle.
-  return support::Rng(mix(cfg_.seed ^ mix(tx_radio ^ mix(frame_seq))));
+  return mix(cfg_.seed ^ mix(tx_radio ^ mix(frame_seq)));
 }
 
 void FaultModel::corrupt(std::vector<std::uint8_t>& wire,

@@ -104,10 +104,11 @@ class FaultModel {
   /// TX retry loop instead and use bare per() at the receiver.
   double link_loss(double rx_power_dbm) const;
 
-  /// Dedicated stream for one transmission, a pure function of
-  /// (config seed, tx radio id, per-radio frame sequence). Delivery order
-  /// and thread scheduling cannot perturb it.
-  support::Rng stream(std::uint64_t tx_radio, std::uint64_t frame_seq) const;
+  /// Seed of the dedicated fault stream of one transmission, a pure
+  /// function of (config seed, tx radio id, per-radio frame sequence).
+  /// Delivery order and thread scheduling cannot perturb it.
+  std::uint64_t stream_seed(std::uint64_t tx_radio,
+                            std::uint64_t frame_seq) const;
 
   /// Flip 1..max_bit_flips distinct bits of `wire` in place.
   void corrupt(std::vector<std::uint8_t>& wire, support::Rng& rng) const;

@@ -603,7 +603,6 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
   t.channel = st.channel;
   t.erased = false;
   t.frame_ok = false;
-  t.fault_rng.reset();
 
   // Round-trip through the wire format once, at transmit time: every
   // receiver shares the parsed result instead of deliver() re-parsing the
@@ -631,8 +630,8 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
   // Broadcasts are unacknowledged and get exactly one attempt, eating the
   // full per-receiver loss in deliver().
   if (fault_.enabled()) {
-    t.fault_rng = fault_.stream(from, st.tx_seq++);
-    support::Rng& rng = *t.fault_rng;
+    t.fault_rng.reseed(fault_.stream_seed(from, st.tx_seq++));
+    support::Rng& rng = t.fault_rng;
     const bool unicast = !frame.header.addr1.is_multicast();
     // Per attempt: collision at the receiver, then a corruption burst.
     // Both are drawn every attempt so the stream layout is fixed.
@@ -712,7 +711,7 @@ void Medium::finish_transmission(Transmission& t) {
     return;
   }
   deliver(t.from, t.frame, t.channel, t.tx_pos, t.tx_dbm,
-          t.fault_rng ? &*t.fault_rng : nullptr);
+          fault_.enabled() ? &t.fault_rng : nullptr);
 }
 
 void Medium::run_shard_chunk(const ShardJob& job, std::size_t chunk,

@@ -61,7 +61,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -354,7 +353,7 @@ class Medium {
     bool frame_ok = false;         // wire bytes decoded (FCS intact)
     std::vector<std::uint8_t> wire;
     dot11::Frame frame;            // valid iff frame_ok
-    std::optional<support::Rng> fault_rng;
+    support::Rng fault_rng{0};     // re-seeded per frame iff faults are on
   };
 
   /// A reference-path fanout candidate: id for identity (stable forever),

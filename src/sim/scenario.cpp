@@ -236,7 +236,7 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     // Re-key the fault streams per run off the run's labelled RNG root, so
     // repeated slots see different channel noise but every rerun of the
     // same (world seed, run config) is bit-identical at any thread count.
-    medium_cfg.fault.seed = rng.fork("fault").engine()();
+    medium_cfg.fault.seed = rng.fork("fault").next_u64();
   }
   if (cfg.intra_run_workers) {
     medium_cfg.intra_run_workers = *cfg.intra_run_workers;

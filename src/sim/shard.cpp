@@ -93,8 +93,9 @@ struct Entity {
   // AP-only:
   dot11::Frame beacon;
   std::int64_t next_beacon_us = 0;
-  // Phone-only:
-  PhoneAgent agent;
+  /// Phone-only, null for APs: the agent's two streams make it most of a
+  /// phone's footprint, and APs need none of it.
+  std::unique_ptr<PhoneAgent> agent;
 };
 
 struct Shard {
@@ -246,17 +247,17 @@ void ShardedCity::build() {
       e.radio = shard.medium.attach(pos, channel, cfg_.ap_tx_dbm, &e.sink);
       schedule_beacon(&e);
     } else {
-      PhoneAgent agent;
-      agent.gid = ugid;
-      agent.walker = mobility::DistrictWalker(&grid_, er.fork("walk"),
-                                              cfg_.phone_speed_mps);
-      agent.scan_rng = er.fork("scan");
-      agent.probe = dot11::make_broadcast_probe_request(mac_from_gid(ugid));
-      agent.next_scan_us = static_cast<std::int64_t>(
+      auto agent = std::make_unique<PhoneAgent>();
+      agent->gid = ugid;
+      agent->walker = mobility::DistrictWalker(&grid_, er.fork("walk"),
+                                               cfg_.phone_speed_mps);
+      agent->scan_rng = er.fork("scan");
+      agent->probe = dot11::make_broadcast_probe_request(mac_from_gid(ugid));
+      agent->next_scan_us = static_cast<std::int64_t>(
           er.uniform(0.0, static_cast<double>(kScanBaseUs + kScanJitterUs)));
-      agent.next_walk_us = static_cast<std::int64_t>(
+      agent->next_walk_us = static_cast<std::int64_t>(
           er.uniform(0.0, cfg_.walk_tick_s * 1e6));
-      const Position pos = agent.walker.pos();
+      const Position pos = agent->walker.pos();
       Shard& shard = *shards_[static_cast<std::size_t>(
           grid_.owner_shard(pos, cfg_.shards))];
       Entity& e = make_entity(shard);
@@ -280,19 +281,20 @@ void ShardedCity::schedule_beacon(Entity* e) {
 
 void ShardedCity::schedule_scan(Entity* e) {
   e->home->events.post_at(
-      SimTime::microseconds(e->agent.next_scan_us), [this, e] {
+      SimTime::microseconds(e->agent->next_scan_us), [this, e] {
         if (!e->alive) return;  // handed off; the import rescheduled it
         // Gap silence: a client in a guard gap is out of range of every
         // district anyway (that's what the gap width guarantees), so
         // skipping the probe costs nothing observable — and it is what
         // keeps every transmission intra-shard.
-        if (grid_.in_gap(e->agent.walker.pos())) {
+        if (grid_.in_gap(e->agent->walker.pos())) {
           ++e->home->gap_silences;
         } else {
-          e->radio.transmit(e->agent.probe);
+          e->radio.transmit(e->agent->probe);
         }
-        e->agent.next_scan_us +=
-            kScanBaseUs + static_cast<std::int64_t>(e->agent.scan_rng.uniform(
+        PhoneAgent& agent = *e->agent;
+        agent.next_scan_us +=
+            kScanBaseUs + static_cast<std::int64_t>(agent.scan_rng.uniform(
                               0.0, static_cast<double>(kScanJitterUs)));
         schedule_scan(e);
       });
@@ -300,16 +302,16 @@ void ShardedCity::schedule_scan(Entity* e) {
 
 void ShardedCity::schedule_walk(Entity* e) {
   e->home->events.post_at(
-      SimTime::microseconds(e->agent.next_walk_us), [this, e] {
+      SimTime::microseconds(e->agent->next_walk_us), [this, e] {
         if (!e->alive) return;
-        const Position pos = e->agent.walker.step(cfg_.walk_tick_s);
+        const Position pos = e->agent->walker.step(cfg_.walk_tick_s);
         e->radio.set_position(pos);
         if (!e->marked &&
             grid_.owner_shard(pos, cfg_.shards) != e->home->index) {
           e->marked = true;
           e->home->emigrants.push_back(e);
         }
-        e->agent.next_walk_us +=
+        e->agent->next_walk_us +=
             static_cast<std::int64_t>(cfg_.walk_tick_s * 1e6);
         schedule_walk(e);
       });
@@ -366,7 +368,7 @@ void ShardedCity::exchange_handoffs() {
   // in ascending global-id order so every destination Medium assigns its
   // monotone local ids identically no matter how the epoch was threaded.
   struct Handoff {
-    PhoneAgent agent;
+    std::unique_ptr<PhoneAgent> agent;
     int to = 0;
   };
   std::vector<Handoff> moving;
@@ -375,9 +377,9 @@ void ShardedCity::exchange_handoffs() {
       e->marked = false;
       if (!e->alive) continue;
       const int owner =
-          grid_.owner_shard(e->agent.walker.pos(), cfg_.shards);
+          grid_.owner_shard(e->agent->walker.pos(), cfg_.shards);
       if (owner == shard->index) continue;  // wandered back before the bar
-      e->agent.radio = shard->medium.export_radio(e->radio);
+      e->agent->radio = shard->medium.export_radio(e->radio);
       e->alive = false;  // queued scan/walk events become no-ops
       moving.push_back({std::move(e->agent), owner});
       ++shard->handoffs_out;
@@ -386,14 +388,14 @@ void ShardedCity::exchange_handoffs() {
   }
   std::sort(moving.begin(), moving.end(),
             [](const Handoff& a, const Handoff& b) {
-              return a.agent.gid < b.agent.gid;
+              return a.agent->gid < b.agent->gid;
             });
   for (Handoff& h : moving) {
     Shard& dest = *shards_[static_cast<std::size_t>(h.to)];
     Entity& e = make_entity(dest);
-    e.sink.rx_gid = h.agent.gid;
+    e.sink.rx_gid = h.agent->gid;
     e.agent = std::move(h.agent);
-    e.radio = dest.medium.import_radio(e.agent.radio, &e.sink);
+    e.radio = dest.medium.import_radio(e.agent->radio, &e.sink);
     // The agent's next event times are strictly past the barrier (anything
     // due earlier already fired in the source shard), so rescheduling here
     // can never violate the queue's no-past-scheduling rule.

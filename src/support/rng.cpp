@@ -1,11 +1,87 @@
 #include "support/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace cityhunter::support {
+
+namespace {
+
+using Word = Mt64::result_type;
+
+/// Seed word i of the initialisation recurrence, from word i - 1.
+Word seed_step(Word prev, std::uint32_t i) {
+  return 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+}
+
+/// The MT19937-64 recurrence: the word that replaces x_k, from x_k, x_k+1
+/// and x_k+m.
+Word twist(Word xk, Word xk1, Word xkm) {
+  const Word y = (xk & 0xffffffff80000000ULL) | (xk1 & 0x7fffffffULL);
+  return xkm ^ (y >> 1) ^ ((y & 1) != 0 ? 0xb5026f5aa96619e9ULL : 0);
+}
+
+}  // namespace
+
+void Mt64::advance() {
+  if (ready_ < kN) {
+    // First generation: twist word k alone, seeding the words it reads
+    // (x_k+1 and x_k+m; past the middle both are already there).
+    const std::uint32_t k = ready_;
+    const std::uint32_t need = std::min(k + kM + 1, kN);
+    if (seeded_ < need) {
+      std::uint32_t i = seeded_;
+      Word w = x_[i - 1];
+      do {
+        w = seed_step(w, i);
+        x_[i] = w;
+      } while (++i < need);
+      seeded_ = static_cast<std::uint16_t>(need);
+    }
+    x_[k] = twist(x_[k], x_[k + 1 == kN ? 0 : k + 1],
+                  x_[k + kM < kN ? k + kM : k + kM - kN]);
+    ++ready_;
+    return;
+  }
+  // Later generations: regenerate every word at once.
+  std::uint32_t k = 0;
+  for (; k < kN - kM; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+  for (; k < kN - 1; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+  x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+  pos_ = 0;
+}
+
+Mt64::result_type Mt64::peek() const {
+  if (pos_ < ready_) return temper(x_[pos_]);
+  if (ready_ == kN) return temper(twist(x_[0], x_[1], x_[kM]));
+  const std::uint32_t k = ready_;
+  if (k + kM >= kN) {
+    // Second half of the first generation: every seed word is there.
+    return temper(twist(x_[k], x_[k + 1 == kN ? 0 : k + 1], x_[k + kM - kN]));
+  }
+  // First half: x_k+m lies past the seeded prefix (so does x_k+1 before the
+  // first draw); run the recurrence in locals rather than write to a const
+  // object.
+  Word next = k + 1 < seeded_ ? x_[k + 1] : 0;
+  Word w = x_[seeded_ - 1];
+  for (std::uint32_t i = seeded_; i <= k + kM; ++i) {
+    w = seed_step(w, i);
+    if (i == k + 1) next = w;
+  }
+  return temper(twist(x_[k], next, w));
+}
+
+void Mt64::copy_from(const Mt64& other) noexcept {
+  seeded_ = other.seeded_;
+  ready_ = other.ready_;
+  pos_ = other.pos_;
+  std::memcpy(x_, other.x_, sizeof(Word) * seeded_);
+}
 
 std::uint64_t Rng::splitmix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -21,11 +97,9 @@ Rng Rng::fork(std::string_view label) const {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
     h *= 1099511628211ULL;
   }
-  // Combine with the parent's *seed-derived* identity: re-hash a copy of the
-  // engine's next output without disturbing the parent (we copy the engine).
-  std::mt19937_64 copy = engine_;
-  const std::uint64_t parent_word = copy();
-  return Rng(splitmix(h ^ parent_word));
+  // Combine with the parent's *seed-derived* identity: its next output,
+  // peeked without disturbing the parent.
+  return Rng(splitmix(h ^ engine_.peek()));
 }
 
 double Rng::uniform(double lo, double hi) {

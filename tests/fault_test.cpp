@@ -64,14 +64,14 @@ TEST(FaultModel, LinkLossCombinesAmbientFloor) {
 
 TEST(FaultModel, StreamIsPureFunctionOfKey) {
   FaultModel fault(FaultModel::Config{.enabled = true});
-  Rng a = fault.stream(3, 7);
-  Rng b = fault.stream(3, 7);
+  Rng a(fault.stream_seed(3, 7));
+  Rng b(fault.stream_seed(3, 7));
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(a.engine()(), b.engine()());
+    EXPECT_EQ(a.next_u64(), b.next_u64());
   }
-  Rng c = fault.stream(3, 8);
-  Rng d = fault.stream(4, 7);
-  EXPECT_NE(c.engine()(), d.engine()());
+  Rng c(fault.stream_seed(3, 8));
+  Rng d(fault.stream_seed(4, 7));
+  EXPECT_NE(c.next_u64(), d.next_u64());
 }
 
 TEST(FaultModel, CorruptFlipsBoundedBitCount) {

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <mutex>
 #include <numeric>
+#include <random>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/histogram.h"
@@ -230,6 +236,226 @@ TEST(Rng, PoissonMeanRoughlyCorrect) {
   double sum = 0;
   for (int i = 0; i < 10000; ++i) sum += rng.poisson(4.0);
   EXPECT_NEAR(sum / 10000.0, 4.0, 0.1);
+}
+
+// --- Mt64 and Rng against the standard engine ---
+//
+// Mt64 must reproduce std::mt19937_64 for every seed, and Rng must return
+// exactly what it returned when it wrapped std::mt19937_64. StdRng is that
+// earlier Rng: the same distributions and fork formula over the standard
+// engine.
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+class StdRng {
+ public:
+  explicit StdRng(std::uint64_t seed) : engine_(splitmix(seed)) {}
+
+  // Hashes the label with the next word of a copied engine.
+  StdRng fork(std::string_view label) const {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const char c : label) {
+      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+      h *= 1099511628211ULL;
+    }
+    std::mt19937_64 copy = engine_;
+    return StdRng(splitmix(h ^ copy()));
+  }
+
+  std::uint64_t next_u64() { return engine_(); }
+  double uniform(double lo = 0.0, double hi = 1.0) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
+  double normal(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+  double lognormal(double mu, double sigma) {
+    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+  }
+  double exponential_mean(double mean) {
+    if (mean <= 0.0) return 0.0;
+    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  }
+  int poisson(double mean) {
+    if (mean <= 0.0) return 0;
+    // Rng::poisson serialises lgamma's global signgam the same way.
+    static std::mutex mutex;
+    const std::scoped_lock lock(mutex);
+    return std::poisson_distribution<int>(mean)(engine_);
+  }
+  int zipf(int n, double s) {
+    if (n == 1) return 1;
+    double norm = 0.0;
+    for (int k = 1; k <= n; ++k) norm += 1.0 / std::pow(k, s);
+    const double u = uniform(0.0, norm);
+    double acc = 0.0;
+    for (int k = 1; k <= n; ++k) {
+      acc += 1.0 / std::pow(k, s);
+      if (u <= acc) return k;
+    }
+    return n;
+  }
+  std::size_t index(std::size_t n) {
+    return static_cast<std::size_t>(
+        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+  std::size_t weighted_index(const std::vector<double>& weights) {
+    double u = uniform(0.0, std::accumulate(weights.begin(), weights.end(),
+                                            0.0));
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      u -= weights[i];
+      if (u <= 0.0) return i;
+    }
+    return weights.size() - 1;
+  }
+  template <typename T>
+  void shuffle(std::vector<T>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[index(i)]);
+    }
+  }
+  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k) {
+    if (k > n) k = n;
+    std::vector<std::size_t> idx(n);
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    for (std::size_t i = 0; i < k; ++i) {
+      std::swap(idx[i], idx[i + index(n - i)]);
+    }
+    idx.resize(k);
+    return idx;
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+/// 2051 seeds: small integers, well-mixed values and bit-pattern extremes.
+std::vector<std::uint64_t> oracle_seeds() {
+  std::vector<std::uint64_t> seeds{0, 1, ~0ULL, 1ULL << 63,
+                                   0x5555555555555555ULL};
+  for (std::uint64_t i = 2; i < 1024; ++i) seeds.push_back(i);
+  for (std::uint64_t i = 0; i < 1024; ++i) seeds.push_back(splitmix(~i));
+  return seeds;
+}
+
+/// Draw counts around the lazy-seeding and generation boundaries: the first
+/// draw needs 157 seed words, the 156th needs all 312, the 313th starts the
+/// first batch-regenerated generation.
+const std::vector<int> kBoundaries{0,   1,   155, 156, 157, 310,
+                                   311, 312, 313, 624, 625, 2000};
+
+TEST(Mt64, MatchesStdEngineAtGenerationBoundaries) {
+  for (const std::uint64_t seed : oracle_seeds()) {
+    Mt64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    int drawn = 0;
+    for (const int stop : kBoundaries) {
+      for (; drawn < stop; ++drawn) {
+        const std::uint64_t want = oracle();
+        ASSERT_EQ(engine.peek(), want) << "seed " << seed << " draw " << drawn;
+        ASSERT_EQ(engine(), want) << "seed " << seed << " draw " << drawn;
+      }
+      // A copy, a move and an assignment over an engine in another state
+      // all continue the stream across the next two generation boundaries.
+      Mt64 copy = engine;
+      Mt64 tmp = engine;
+      Mt64 moved = std::move(tmp);
+      Mt64 assigned(seed ^ 1);
+      for (int i = 0; i < 400; ++i) assigned();
+      assigned = engine;
+      std::mt19937_64 ahead = oracle;
+      for (int i = 0; i < 640; ++i) {
+        const std::uint64_t want = ahead();
+        ASSERT_EQ(copy(), want) << "seed " << seed << " at " << stop;
+        ASSERT_EQ(moved(), want) << "seed " << seed << " at " << stop;
+        ASSERT_EQ(assigned(), want) << "seed " << seed << " at " << stop;
+      }
+    }
+  }
+}
+
+TEST(Mt64, SeedRestartsTheSequenceInPlace) {
+  Mt64 engine(7);
+  for (int i = 0; i < 1000; ++i) engine();
+  engine.seed(99);
+  std::mt19937_64 oracle(99);
+  for (int i = 0; i < 700; ++i) ASSERT_EQ(engine(), oracle()) << i;
+
+  Rng rng(5);
+  for (int i = 0; i < 400; ++i) rng.next_u64();
+  rng.reseed(42);
+  Rng fresh(42);
+  for (int i = 0; i < 700; ++i) ASSERT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
+TEST(Rng, ForkMatchesCopiedStdEngineFormula) {
+  for (const std::uint64_t seed : oracle_seeds()) {
+    Rng rng(seed);
+    StdRng oracle(seed);
+    int drawn = 0;
+    for (const int stop : kBoundaries) {
+      for (; drawn < stop; ++drawn) {
+        ASSERT_EQ(rng.next_u64(), oracle.next_u64());
+      }
+      for (const std::string_view label : {"", "walk", "entity-4711"}) {
+        Rng child = rng.fork(label);
+        StdRng want = oracle.fork(label);
+        for (int i = 0; i < 3; ++i) {
+          ASSERT_EQ(child.next_u64(), want.next_u64())
+              << "seed " << seed << " at " << stop << " label " << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(Rng, DistributionsMatchStdEngine) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<double> weights{0.5, 0.0, 2.0, 1.25, 0.25};
+  for (const std::uint64_t seed : oracle_seeds()) {
+    Rng rng(seed);
+    StdRng oracle(seed);
+    // About 60 draws a round: 20 rounds cross two generation boundaries.
+    for (int round = 0; round < 20; ++round) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " round " << round);
+      ASSERT_EQ(rng.uniform(), oracle.uniform());
+      ASSERT_EQ(rng.uniform(-3.0, 5.0), oracle.uniform(-3.0, 5.0));
+      ASSERT_EQ(rng.uniform_int(0, 3), oracle.uniform_int(0, 3));
+      ASSERT_EQ(rng.uniform_int(-1000000000000, 7),
+                oracle.uniform_int(-1000000000000, 7));
+      ASSERT_EQ(rng.uniform_int(kMin, kMax), oracle.uniform_int(kMin, kMax));
+      ASSERT_EQ(rng.chance(0.3), oracle.chance(0.3));
+      ASSERT_EQ(rng.normal(2.0, 0.5), oracle.normal(2.0, 0.5));
+      ASSERT_EQ(rng.lognormal(0.1, 0.8), oracle.lognormal(0.1, 0.8));
+      ASSERT_EQ(rng.exponential_mean(12.5), oracle.exponential_mean(12.5));
+      ASSERT_EQ(rng.poisson(3.5), oracle.poisson(3.5));
+      ASSERT_EQ(rng.poisson(40.0), oracle.poisson(40.0));
+      ASSERT_EQ(rng.zipf(50, 0.9), oracle.zipf(50, 0.9));
+      ASSERT_EQ(rng.index(17), oracle.index(17));
+      ASSERT_EQ(rng.weighted_index(weights), oracle.weighted_index(weights));
+      std::vector<int> a(20), b(20);
+      std::iota(a.begin(), a.end(), 0);
+      std::iota(b.begin(), b.end(), 0);
+      rng.shuffle(a);
+      oracle.shuffle(b);
+      ASSERT_EQ(a, b);
+      ASSERT_EQ(rng.sample_indices(30, 10), oracle.sample_indices(30, 10));
+    }
+  }
 }
 
 // --- Histogram ---
