@@ -10,9 +10,9 @@
 //     position ticks — constant grid churn and pair-cache invalidation.
 //
 // The builder is deterministic: one seed drives placement, stagger and
-// mobility, and every Config delivery mode must produce identical
-// transmission/delivery counts (asserted by fig_city_scale and the golden
-// campaign test).
+// mobility, and the batched pipeline and the full scan must produce
+// identical transmission/delivery counts (asserted by fig_city_scale and the
+// golden campaign test).
 #pragma once
 
 #include <chrono>
@@ -44,10 +44,10 @@ struct CityScaleResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Index-efficiency counters (Medium::FanoutStats): bucket entries the
-  /// filter kernels streamed, how many passed the fused listening-key
-  /// compare, and the difference — entries that cost a cache line only to
-  /// be discarded. Channel-partitioned buckets drive wasted to 0; the mixed
-  /// layout wastes ~2/3 of loads at the district's 1/6/11 channel plan.
+  /// filter streamed, how many passed the fused listening-key compare, and
+  /// the difference — entries that cost a cache line only to be discarded.
+  /// Channel-partitioned buckets drive wasted to 0 at the district's 1/6/11
+  /// channel plan.
   std::uint64_t candidates_loaded = 0;
   std::uint64_t key_matched = 0;
   std::uint64_t wasted_candidates = 0;
@@ -187,7 +187,7 @@ inline CityScaleResult run_city_scale(const CityScaleParams& params,
   r.cache_hits = city.medium().pathloss_cache_hits();
   r.cache_misses = city.medium().pathloss_cache_misses();
   const medium::Medium::FanoutStats& fs = city.medium().fanout_stats();
-  r.candidates_loaded = fs.candidates_loaded();
+  r.candidates_loaded = fs.candidates_loaded;
   r.key_matched = fs.key_matched;
   r.wasted_candidates = fs.wasted_candidates();
   const medium::Medium::BucketOccupancy occ = city.medium().bucket_occupancy();

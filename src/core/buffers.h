@@ -7,7 +7,7 @@
 // selection, `ghost_picks` random ghosts from each list replace the lowest
 // entries of their buffer, giving the attacker a signal: a hit through a
 // PB-ghost SSID means PB is too small (grow it, shrink FB), a hit through an
-// FB-ghost means the opposite. This is the ARC adaptation rule (cache/)
+// FB-ghost means the opposite. This is the ARC cache adaptation rule
 // transplanted from cache lines to SSIDs.
 #pragma once
 

@@ -10,48 +10,45 @@
 // attached transmitter, so a transmission only probes the few cells its own
 // range box overlaps instead of scanning every radio in the venue.
 //
-// Batched SoA delivery pipeline (default): radio position and a fused
+// One delivery pipeline (deliver_batched): radio position and a fused
 // listening key (attached ∧ has-sink ∧ channel) are mirrored into flat
 // parallel arrays indexed by slot. Slots are issued monotonically and never
 // recycled (slot ≡ id − 1), so slot order IS radio-id order: grid buckets
-// keep their slots sorted, the 3x3 cell probe gathers per-cell runs that are
-// already ordered, and a ≤9-way merge walks them in global id order — the
-// per-frame std::sort of candidates is gone, yet the fanout order (and with
-// it the fault-stream draw order) is bit-identical to the legacy id-sorted
-// scan. Candidates are filtered in the squared-distance domain against a
-// precomputed per-tx-power range², so sqrt/log10 never run for radios that
-// turn out to be out of range; survivors get their RX power from a monotone
-// piecewise-linear path-loss LUT over d² (error ≪ RSSI quantization) fronted
-// by an epoch-invalidated per-(tx,rx) slot-pair cache that makes static
-// AP↔AP beacon fanout transcendental-free. Exact log-distance math is
-// retained behind Config toggles and always used on the fault path, where
-// the erasure draw must see bit-identical RX power.
+// keep their slots sorted, the 3x3 cell probe filters per-cell runs that are
+// already ordered, and a ≤9-way merge walks them in global id order — no
+// per-frame sort, yet the fanout order (and with it the fault-stream draw
+// order) is bit-identical to an id-sorted scan. Candidates are filtered in
+// the squared-distance domain against a precomputed per-tx-power range², so
+// sqrt/log10 never run for radios that turn out to be out of range;
+// survivors get their RX power from a monotone piecewise-linear path-loss
+// LUT over d² (error ≪ RSSI quantization) fronted by an epoch-invalidated
+// per-(tx,rx) slot-pair cache that makes static AP↔AP beacon fanout
+// transcendental-free. Exact log-distance math is retained behind the
+// pathloss_lut/pathloss_cache toggles and always used on the fault path,
+// where the erasure draw must see bit-identical RX power.
 //
-// Spatial index (default layout): buckets are keyed by (cell, fused
-// listening key), so the 3x3 probe streams only radios that can actually
-// hear the transmission's channel — at city channel mixes, two thirds of a
-// mixed bucket used to cost a cache line each just to fail the key compare.
-// Bucket storage (slots/xs/ys/keys) lives in one compacted slab arena of
-// four parallel arrays instead of per-cell heap vectors scattered by the
-// cell map, so a probe's candidate stream is contiguous lines. Churn
+// The only other fanout is the full scan over every attached radio
+// (spatial_grid = false): exact math, no index. It is the test oracle every
+// equivalence test compares the batched pipeline against, byte for byte.
+//
+// Spatial index: buckets are keyed by (cell, fused listening key), so the
+// 3x3 probe streams only radios that can actually hear the transmission's
+// channel. Bucket storage (slots/xs/ys/keys) lives in one compacted slab
+// arena of four parallel arrays instead of per-cell heap vectors scattered
+// by the cell map, so a probe's candidate stream is contiguous lines. Churn
 // (attach/detach/set_position/set_channel/set_sink) migrates radios between
 // buckets incrementally: out-of-order arrivals append to a per-bucket
 // unsorted tail that is merged into the sorted prefix lazily, at the
 // bucket's next probe — an attach storm into one cell is amortized O(1) per
-// radio instead of the old O(occupancy) sorted insert. Buckets still expose
+// radio instead of an O(occupancy) sorted insert. Buckets still expose
 // ascending slot order to every probe, so the merge fanout (and the fault
-// draw order with it) is unchanged; Config::channel_buckets = false keeps
-// the PR-6 one-mixed-bucket-per-cell layout for A/B benchmarks, with
-// byte-identical results either way.
+// draw order with it) is unchanged. The filter still compares each entry's
+// key against the transmission's channel; FanoutStats counts the entries
+// that fail it as index waste (zero while the partition is the key).
 //
-// The gather/filter and LUT stages additionally run through 4-wide AVX2
-// lanes (medium/fanout_simd, runtime-detected, bit-identical scalar
-// fallback) and can be sharded across intra-run worker threads: contiguous
-// chunks of the candidate buckets fill private survivor scratches in
-// parallel, then a fixed-order merge hands survivors to the single-threaded
-// delivery loop in ascending slot order — sink callbacks and fault draws
-// never leave the calling thread, so output is bit-identical at any worker
-// count and with SIMD on or off.
+// Everything runs on the calling thread: parallelism comes from world
+// shards (sim/shard) and the campaign pool (sim/parallel), not from inside
+// one fanout.
 //
 // Hot-path storage: radio state lives in a dense slab indexed by slot, and
 // each in-flight transmission borrows a pooled object that owns the wire
@@ -66,7 +63,6 @@
 
 #include "dot11/frame.h"
 #include "medium/event_queue.h"
-#include "medium/fanout_simd.h"
 #include "medium/fault.h"
 #include "medium/geometry.h"
 #include "medium/propagation.h"
@@ -74,10 +70,6 @@
 
 namespace cityhunter::obs {
 class TraceBuffer;
-}
-
-namespace cityhunter::support {
-class TaskTeam;
 }
 
 namespace cityhunter::medium {
@@ -93,15 +85,12 @@ class Medium {
     double contention_factor = 2.0;
     /// Management frame rate used for airtime computation.
     double mgmt_rate_mbps = 11.0;
-    /// Spatial-grid receiver culling in deliver(). Disable to force the
-    /// legacy scan over every attached radio (kept for the micro-bench
-    /// comparison in bench/micro_medium; results are identical either way).
+    /// Spatial-grid receiver culling in deliver() through the batched
+    /// pipeline. Disable to force the full scan over every attached radio —
+    /// the exact-math test oracle (and the bench/micro_medium baseline).
+    /// The delivery sets are identical either way; RSSI matches bit for bit
+    /// when pathloss_lut is off (the scan always uses exact math).
     bool spatial_grid = true;
-    /// Batched SoA fanout: slot-ordered merge over sorted grid buckets with
-    /// squared-distance filtering. Disable to fall back to the gather +
-    /// std::sort + exact-math reference path (requires spatial_grid).
-    /// Results are identical either way.
-    bool batched_fanout = true;
     /// Piecewise-linear path-loss LUT for survivor RX power on the batched
     /// path. Disable for exact log10 math on every survivor. The LUT error
     /// (< PathLossLut::max_error_db(), ~4.5e-4 dB at default exponent) is
@@ -112,40 +101,6 @@ class Medium {
     /// hit it on every beacon. Stores exactly what the LUT/exact path would
     /// compute, so toggling it cannot change results.
     bool pathloss_cache = true;
-    /// Partition grid buckets by the fused listening key (channel + 1, or 0
-    /// for radios that cannot receive): the 3x3 probe then streams only
-    /// matching-channel listeners instead of loading every co-located radio
-    /// and discarding off-channel ones in the filter kernel. Disable to keep
-    /// one mixed bucket per cell (the pre-partition layout, for A/B
-    /// benchmarks). Results are byte-identical either way — the kernel
-    /// still applies the key compare, buckets stay slot-sorted, and the
-    /// merge order is unchanged.
-    bool channel_buckets = true;
-    /// 4-wide SIMD lanes (AVX2, runtime-detected) for the batched fanout's
-    /// gather/filter and LUT stages. The vector kernels replicate the scalar
-    /// operation order exactly (no FMA), so results are bit-identical either
-    /// way; disable only to benchmark the scalar path.
-    bool simd_fanout = true;
-    /// Minimum survivor count before the LUT evaluation stage dispatches to
-    /// its AVX2 kernel. The LUT kernel is gather-bound (one i64gather per 4
-    /// survivors), so on memory-bound district shapes — many fanouts with a
-    /// few dozen survivors each — the AVX entry cost plus the gathers lose
-    /// to the scalar loop well past the filter kernel's crossover; see
-    /// kSimdLutMinElems in fanout_simd.h. 0 (default) uses that library
-    /// default; results are bit-identical at any value.
-    std::size_t simd_lut_min_elems = 0;
-    /// Intra-run fanout parallelism: total workers (including the calling
-    /// thread) that fill private survivor scratches from contiguous chunks
-    /// of the candidate buckets. Delivery itself — sink callbacks and fault
-    /// draws — always runs on the calling thread in ascending slot order via
-    /// a fixed-order merge, so output is bit-identical at any worker count.
-    /// 1 (default) keeps the run strictly serial; valid range [1, 16].
-    int intra_run_workers = 1;
-    /// Minimum candidate count (bucket entries in the 3x3 probe) before a
-    /// fanout is sharded across workers; smaller fanouts stay on the calling
-    /// thread to dodge the fork-join latency. Purely a performance knob —
-    /// results are identical at any value.
-    int shard_min_candidates = 192;
     /// Deterministic fault injection (loss, corruption, retries). Disabled
     /// by default: the perfect channel stays byte-identical to the seed.
     FaultModel::Config fault{};
@@ -153,10 +108,8 @@ class Medium {
 
   explicit Medium(EventQueue& events);
   /// Throws std::invalid_argument when `cfg` is nonsense
-  /// (contention_factor <= 0, mgmt_rate_mbps <= 0, intra_run_workers outside
-  /// [1, 16], negative shard_min_candidates, bad fault config).
+  /// (contention_factor <= 0, mgmt_rate_mbps <= 0, bad fault config).
   Medium(EventQueue& events, Config cfg);
-  ~Medium();
 
   /// Create a radio at `pos` on `channel` with `tx_power_dbm`.
   Radio attach(Position pos, std::uint8_t channel, double tx_power_dbm,
@@ -221,28 +174,21 @@ class Medium {
     return pathloss_cache_misses_;
   }
 
-  /// Batched-fanout stage counters: how much work the SIMD lanes and the
-  /// intra-run shards actually saw. Candidate counts are bucket entries fed
-  /// to the filter kernels (vector counts include their scalar tails).
+  /// Batched-fanout counters: how many bucket entries the 3x3 probes
+  /// streamed into the filter and how many of them matched the fused
+  /// listening key.
   struct FanoutStats {
-    std::uint64_t batched_fanouts = 0;   // deliver_batched invocations
-    std::uint64_t simd_candidates = 0;   // entries through the AVX2 filter
-    std::uint64_t scalar_candidates = 0; // entries through the scalar filter
-    std::uint64_t sharded_fanouts = 0;   // fanouts split across workers
-    std::uint64_t shard_chunks = 0;      // total chunks dispatched
+    std::uint64_t fanouts = 0;            // deliver_batched invocations
+    std::uint64_t candidates_loaded = 0;  // bucket entries filtered
     /// Candidates that passed the fused listening-key compare (before the
-    /// self/range tests). loaded − key_matched is pure index waste: bucket
-    /// entries that cost a cache line only to be discarded by the key
-    /// filter. Zero waste with channel-partitioned buckets — the partition
-    /// key IS the fused key, so every streamed entry matches.
+    /// self/range tests). candidates_loaded − key_matched is pure index
+    /// waste: bucket entries that cost a cache line only to be discarded by
+    /// the key filter. Zero with channel-partitioned buckets — the
+    /// partition key IS the fused key, so every streamed entry matches.
     std::uint64_t key_matched = 0;
 
-    /// Total bucket entries streamed into the filter kernels.
-    std::uint64_t candidates_loaded() const {
-      return simd_candidates + scalar_candidates;
-    }
     std::uint64_t wasted_candidates() const {
-      return candidates_loaded() - key_matched;
+      return candidates_loaded - key_matched;
     }
   };
   const FanoutStats& fanout_stats() const { return fanout_stats_; }
@@ -331,9 +277,8 @@ class Medium {
     std::uint64_t rx_lost = 0;      // frames erased on the way to this radio
     std::uint64_t cell = 0;         // current grid cell key (valid iff in_grid)
     /// Partition key the radio is filed under within its cell (valid iff
-    /// in_grid): the fused listening key with channel_buckets, 0 in the
-    /// mixed-bucket layout. Lets erase/migrate find the bucket without
-    /// recomputing the key from possibly-already-mutated state.
+    /// in_grid): its fused listening key at filing time. Lets erase/migrate
+    /// find the bucket after soa_key_ has already moved on.
     std::uint16_t part = 0;
     // Explicit membership flag: every 64-bit key is a legal cell (the cell
     // at (-1,-1) packs to all ones), so no in-band sentinel exists.
@@ -356,8 +301,8 @@ class Medium {
     support::Rng fault_rng{0};     // re-seeded per frame iff faults are on
   };
 
-  /// A reference-path fanout candidate: id for identity (stable forever),
-  /// slot for O(1) state access while the topology is unchanged.
+  /// A full-scan fanout candidate: id for identity (stable forever), slot
+  /// for O(1) state access while the topology is unchanged.
   struct Candidate {
     RadioId id = 0;
     std::uint32_t slot = kNoSlot;
@@ -387,61 +332,22 @@ class Medium {
 
   /// Partition directory of one cell: (partition key → bucket id), sorted
   /// by key. One entry per listening key present in the cell (typically the
-  /// venue's 1–3 channels plus the non-listener partition), or a single
-  /// part-0 entry in the mixed-bucket layout.
+  /// venue's 1–3 channels plus the non-listener partition).
   struct CellEntry {
     std::vector<std::pair<std::uint16_t, std::uint32_t>> parts;
   };
 
-  /// Read-only window over one normalized (fully sorted) bucket, captured
-  /// at probe time. The filter kernels in medium/fanout_simd stream these
-  /// contiguous arrays directly — no per-slot indirection into
-  /// soa_x_/soa_y_/soa_key_ on the gather path, and 4 adjacent members load
-  /// as one vector lane. Valid only until the arena mutates: views are read
-  /// exclusively during the filter stage, which completes before any sink
-  /// callback (the only source of mutation) can run.
-  struct BucketView {
-    const std::uint32_t* slots = nullptr;
-    const double* xs = nullptr;
-    const double* ys = nullptr;
-    const std::uint16_t* keys = nullptr;
-    std::uint32_t size = 0;
-  };
-
-  /// Per-worker fanout scratch: the chunk's in-range survivors plus the
-  /// sorted runs they form (one run per bucket the chunk overlaps — a chunk
-  /// is contiguous over the ≤9-bucket probe, so ≤9 runs).
-  struct ShardScratch {
-    struct Run {
-      std::uint32_t begin = 0;
-      std::uint32_t end = 0;
-    };
-    std::vector<FanoutCandidate> cand;
-    Run runs[9];
-    int nruns = 0;
-    /// Chunk entries that passed the fused-key compare (FanoutStats
-    /// bookkeeping; summed on the calling thread after the join).
-    std::size_t key_matched = 0;
-  };
-
-  /// Everything a shard worker needs, published once per sharded fanout
-  /// (TaskTeam's dispatch orders the stores before helpers read it). Chunk k
-  /// covers concatenated-bucket element range [split[k], split[k+1]).
-  struct ShardJob {
-    Medium* medium = nullptr;
-    BucketView views[9];  // the range box spans at most 3x3 cells
-    int nbuckets = 0;
-    std::size_t split[17] = {};
-    double tx_x = 0.0;
-    double tx_y = 0.0;
-    double range_sq = -1.0;
-    double tx_dbm = 0.0;
-    std::uint16_t want = 0;
-    std::uint32_t self_slot = kNoSlot;
-    bool use_simd = false;
-    bool precompute = false;  // LUT rx_dbm filled per survivor in-shard
-    /// Config::simd_lut_min_elems resolved against the library default.
-    std::size_t lut_min_elems = 0;
+  /// One in-range batched-fanout survivor, in bucket (== slot == radio-id)
+  /// order.
+  struct Survivor {
+    std::uint32_t slot;
+    double dist_sq;
+    /// Receiver position frozen at gather time. Delivery semantics fix the
+    /// receiver set and link budget when the transmission fans out, so the
+    /// RX power must come from this snapshot — a sink callback moving the
+    /// radio mid-fanout must not change what this frame measures.
+    double x;
+    double y;
   };
 
   /// One entry of the pair pathloss cache. Valid for a lookup iff key,
@@ -482,20 +388,12 @@ class Medium {
   void deliver(RadioId from, const dot11::Frame& frame, std::uint8_t channel,
                Position tx_pos, double tx_power_dbm,
                support::Rng* fault_rng = nullptr);
-  /// Batched SoA fanout: sorted-bucket gather through the SIMD filter
-  /// kernels (optionally sharded across intra-run workers), fixed-order
-  /// merge in slot order, LUT/cached RX power for survivors.
+  /// Batched SoA fanout: sorted-bucket filter in the squared-distance
+  /// domain, fixed-order merge in slot order, LUT/cached RX power for
+  /// survivors.
   void deliver_batched(RadioId from, const dot11::Frame& frame,
                        std::uint8_t channel, Position tx_pos,
                        double tx_power_dbm, support::Rng* fault_rng);
-  /// Fill `scratch` with chunk `chunk`'s survivors: filter every bucket
-  /// slice the chunk overlaps (recording one sorted run per slice), then
-  /// LUT-evaluate them when the job asks for precompute. Runs on helper
-  /// threads for chunks >= 1; touches only the job's read-only inputs and
-  /// the private scratch.
-  void run_shard_chunk(const ShardJob& job, std::size_t chunk,
-                       ShardScratch& scratch) const;
-  static void shard_entry(void* ctx, std::size_t helper_index);
 
   Transmission& acquire_txn();
 
@@ -512,13 +410,8 @@ class Medium {
   /// (detached or no sink), channel + 1 otherwise. One uint16 compare in the
   /// gather loop then covers the attached/sink/channel filters at once.
   /// While the radio is in the grid, a key change migrates it to its new
-  /// (cell, key) bucket under channel_buckets — the partition IS the key —
-  /// or refreshes the in-place key mirror in the mixed layout.
+  /// (cell, key) bucket — the partition IS the key.
   void update_soa_key(std::uint32_t slot);
-
-  /// Propagate soa_key_[slot] into the radio's bucket mirror (mixed-bucket
-  /// layout: the key is data, not the partition).
-  void bucket_sync_key(std::uint32_t slot);
 
   /// Memoized per-TX-power range data (venues use a handful of power
   /// classes): the cull-box radius (exactly the legacy max_range) and the
@@ -532,17 +425,13 @@ class Medium {
   };
   const RangeEntry& range_for(double tx_power_dbm);
 
-  /// Survivor RX power through the pair cache (batched fault-free path).
-  /// When `precomputed` is non-null it holds the LUT value the shard stage
-  /// already evaluated for this survivor — bit-identical to what a miss
-  /// would recompute, so the cache's contents and hit/miss counters are
-  /// unchanged by the precompute.
+  /// Survivor RX power through the pair cache (batched fault-free path): a
+  /// hit skips the LUT evaluation, a miss computes survivor_rx_dbm().
   double pair_cached_rx_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot,
                             double tx_dbm, double dist_sq, Position tx_pos,
-                            Position rx_pos,
-                            const double* precomputed = nullptr);
+                            Position rx_pos);
   /// Survivor RX power: LUT when enabled and covering, exact (fresh hypot,
-  /// bit-identical to the reference path) otherwise. `rx_pos` is the
+  /// bit-identical to the full scan) otherwise. `rx_pos` is the
   /// receiver position frozen at gather time — the link budget must not see
   /// moves a sink callback makes mid-fanout.
   double survivor_rx_dbm(double tx_dbm, double dist_sq, Position tx_pos,
@@ -560,11 +449,6 @@ class Medium {
   }
   std::int64_t cell_coord(double v) const;
   std::uint64_t cell_of(Position pos) const;
-  /// Partition key a radio files under: its fused listening key with
-  /// channel_buckets, 0 (one mixed bucket per cell) otherwise.
-  std::uint16_t partition_of(std::uint32_t slot) const {
-    return cfg_.channel_buckets ? soa_key_[slot] : 0;
-  }
   void grid_insert(std::uint32_t slot, RadioState& st);
   void grid_erase(RadioState& st, std::uint32_t slot);
   /// Recompute the cell size from the strongest transmitter and re-bucket
@@ -591,8 +475,8 @@ class Medium {
   /// directory (bucket ids are recycled via free_buckets_).
   BucketRef& find_or_create_bucket(std::uint64_t cell, std::uint16_t part);
   /// Merge the bucket's unsorted churn tail into the sorted prefix (in
-  /// place, backward merge — no arena growth, so captured views of other
-  /// buckets stay valid). Called before a bucket is probed.
+  /// place, backward merge — no arena growth, so the other probed buckets'
+  /// windows stay valid). Called before a bucket is probed.
   void bucket_normalize(BucketRef& b);
   /// Index of `slot` within the bucket (binary search over the sorted
   /// prefix, linear scan over the tail), kNpos when absent.
@@ -611,9 +495,8 @@ class Medium {
   // appends.
   std::vector<RadioState> slots_;
   std::vector<std::uint32_t> active_slots_;
-  /// Bumped on attach/detach; lets the reference path trust cached
-  /// candidate slots until the topology actually changes under a sink
-  /// callback.
+  /// Bumped on attach/detach; lets the full scan trust cached candidate
+  /// slots until the topology actually changes under a sink callback.
   std::uint64_t topology_epoch_ = 0;
 
   // SoA mirror of the per-slot fields the gather loop touches, kept in sync
@@ -645,21 +528,11 @@ class Medium {
   std::vector<std::unique_ptr<Transmission>> all_txns_;
   std::vector<Transmission*> free_txns_;
 
-  // deliver() fanout scratch, reused across calls (depth-guarded: reentrant
-  // delivery falls back to a local vector).
-  std::vector<Candidate> deliver_scratch_;
+  // Fanout scratches, reused across calls (depth-guarded: reentrant
+  // delivery falls back to local vectors).
+  std::vector<Candidate> scan_scratch_;
+  std::vector<Survivor> survivor_scratch_;
   int deliver_depth_ = 0;
-
-  // Intra-run fanout team: intra_run_workers − 1 parked helper threads (the
-  // calling thread is worker 0), null when the run is serial. One scratch
-  // per worker, reused across fanouts; nested (reentrant) delivery uses a
-  // local scratch and never shards.
-  std::unique_ptr<support::TaskTeam> team_;
-  std::vector<ShardScratch> shard_scratch_;
-  /// simd_fanout ∧ the CPU actually has AVX2, resolved once.
-  bool use_simd_ = false;
-  /// Config::simd_lut_min_elems, resolved against kSimdLutMinElems once.
-  std::size_t lut_min_elems_ = 0;
   FanoutStats fanout_stats_;
 
   double cell_size_ = 0.0;

@@ -312,6 +312,36 @@ std::string CheckpointError::str() const {
   return out;
 }
 
+namespace {
+
+/// Every field of a resolved medium config: the propagation model, airtime
+/// knobs, pipeline toggles and the whole fault model.
+void put_medium_config(std::string& out, const medium::Medium::Config& m) {
+  put_f64(out, m.propagation.reference_loss_db);
+  put_f64(out, m.propagation.exponent);
+  put_f64(out, m.propagation.rx_sensitivity_dbm);
+  put_f64(out, m.contention_factor);
+  put_f64(out, m.mgmt_rate_mbps);
+  put_u8(out, m.spatial_grid ? 1 : 0);
+  put_u8(out, m.pathloss_lut ? 1 : 0);
+  put_u8(out, m.pathloss_cache ? 1 : 0);
+  const medium::FaultModel::Config& f = m.fault;
+  put_u8(out, f.enabled ? 1 : 0);
+  put_f64(out, f.noise_floor_dbm);
+  put_f64(out, f.per_snr_mid_db);
+  put_f64(out, f.per_width_db);
+  put_f64(out, f.ambient_loss);
+  put_f64(out, f.corruption_rate);
+  put_i32(out, f.max_bit_flips);
+  put_i32(out, f.retry_limit);
+  put_i32(out, f.cw_min);
+  put_i32(out, f.cw_max);
+  put_f64(out, f.slot_time_us);
+  put_u64(out, f.seed);
+}
+
+}  // namespace
+
 std::uint64_t campaign_config_hash(const World& world,
                                    std::span<const RunConfig> runs) {
   // Canonical byte string of the behavioural identity of the campaign,
@@ -361,9 +391,9 @@ std::uint64_t campaign_config_hash(const World& world,
     }
     put_u8(canon, run.sample_every ? 1 : 0);
     if (run.sample_every) put_sim_time(canon, *run.sample_every);
-    put_u8(canon, run.medium ? 1 : 0);
-    put_u8(canon, run.intra_run_workers ? 1 : 0);
-    if (run.intra_run_workers) put_i32(canon, *run.intra_run_workers);
+    // The medium config the run resolves to, whether overridden or the
+    // world's: two loss settings must never share a checkpoint.
+    put_medium_config(canon, run.medium ? *run.medium : world.config().medium);
     put_u8(canon, run.initial_database ? 1 : 0);
     put_u8(canon, run.obs.enabled ? 1 : 0);
     put_f64(canon, run.deadline_s);

@@ -71,7 +71,8 @@ struct CampaignCheckpoint {
 };
 
 /// Digest of everything that identifies a campaign: the world seed plus
-/// each run's behavioural knobs (kind, seed, venue, duration, slot, limits).
+/// each run's behavioural knobs (kind, seed, venue, duration, slot, limits,
+/// and every field of the medium config the run resolves to).
 /// FNV-1a over a canonical byte string — a resume guard against feeding a
 /// checkpoint to the wrong campaign, not a cryptographic commitment.
 std::uint64_t campaign_config_hash(const World& world,

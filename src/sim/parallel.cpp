@@ -209,6 +209,7 @@ class Supervisor {
     stats.checkpoint_writes = checkpoint_writes_;
     stats.checkpoint_bytes = checkpoint_bytes_;
     stats.checkpoint_write_failures = checkpoint_write_failures_;
+    stats.checkpoint_write_s = checkpoint_write_s_;
     stats.resumed_runs = resumed_runs_;
   }
 
@@ -234,6 +235,7 @@ class Supervisor {
   }
 
   void write_checkpoint_locked() {
+    const auto t0 = std::chrono::steady_clock::now();
     CampaignCheckpoint cp;
     cp.config_hash = config_hash_;
     cp.total_runs = static_cast<std::uint32_t>(runs_.size());
@@ -254,6 +256,9 @@ class Supervisor {
       // exists to protect; the failure is surfaced as a counter.
       ++checkpoint_write_failures_;
     }
+    checkpoint_write_s_ += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
   }
 
   const World& world_;
@@ -277,6 +282,7 @@ class Supervisor {
   std::uint64_t checkpoint_writes_ = 0;
   std::uint64_t checkpoint_bytes_ = 0;
   std::uint64_t checkpoint_write_failures_ = 0;
+  double checkpoint_write_s_ = 0.0;
   std::uint64_t resumed_runs_ = 0;
 };
 

@@ -78,8 +78,7 @@ struct ParallelConfig {
   /// Checkpoint file path; empty disables checkpointing.
   std::string checkpoint_path;
   /// Write the checkpoint after every this-many run completions (and always
-  /// after the final one). Must be >= 1 — validated in the same style as
-  /// Medium's intra_run_workers.
+  /// after the final one). Must be >= 1.
   int checkpoint_every = 8;
 
   /// Share memoized run setup (WiGLE seed, venue locale) across the
@@ -117,6 +116,10 @@ struct ParallelStats {
   std::uint64_t checkpoint_writes = 0;
   std::uint64_t checkpoint_bytes = 0;  // total encoded bytes written
   std::uint64_t checkpoint_write_failures = 0;
+  /// Wall time spent writing checkpoints (output copy, encode, write, fsync,
+  /// rename), summed over every write attempt — the cadence's own cost,
+  /// measured directly instead of as the difference of two noisy runs.
+  double checkpoint_write_s = 0.0;
   std::uint64_t resumed_runs = 0;      // outputs restored from a checkpoint
 
   double busy_s() const {

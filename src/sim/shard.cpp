@@ -170,6 +170,13 @@ void ShardedCity::validate() {
     throw std::invalid_argument(
         "ShardedCity: phone speed and walk tick must be positive");
   }
+  // Fault streams are keyed by the Medium-local radio id, which depends on
+  // how radios are spread over shards, so a lossy city would deliver a
+  // different multiset at every shard count.
+  if (cfg_.medium.fault.enabled) {
+    throw std::invalid_argument(
+        "ShardedCity: fault injection is not shard-count invariant");
+  }
   // RF-safety: the guard gap must contain max range twice plus the
   // worst-case walker penetration before handoff. max_safe_lookahead throws
   // when the gap cannot host any positive epoch; an explicit epoch must not

@@ -226,6 +226,27 @@ TEST_F(CheckpointCampaignTest, ConfigHashSeparatesCampaigns) {
   auto longer = runs;
   longer[1].duration = support::SimTime::minutes(3);
   EXPECT_NE(sim::campaign_config_hash(*world_, longer), base);
+
+  // The hash covers the medium config each run resolves to: lossy campaigns
+  // that differ only in their loss setting must not share a checkpoint...
+  const auto lossy = [&runs](double ambient_loss) {
+    auto out = runs;
+    for (auto& run : out) {
+      medium::Medium::Config m = world_->config().medium;
+      m.fault.enabled = true;
+      m.fault.ambient_loss = ambient_loss;
+      m.fault.corruption_rate = 0.08;
+      run.medium = m;
+    }
+    return out;
+  };
+  const std::uint64_t heavy = sim::campaign_config_hash(*world_, lossy(0.2));
+  EXPECT_NE(heavy, base);
+  EXPECT_NE(sim::campaign_config_hash(*world_, lossy(0.05)), heavy);
+  // ...while an override equal to the world's own config changes nothing.
+  auto explicit_medium = runs;
+  explicit_medium[0].medium = world_->config().medium;
+  EXPECT_EQ(sim::campaign_config_hash(*world_, explicit_medium), base);
 }
 
 TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {

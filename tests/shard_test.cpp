@@ -384,6 +384,13 @@ TEST(ShardedCityTest, RejectsConfigsThatBreakTheDeterminismContract) {
   cfg.epoch = SimTime::seconds(1.0);
   cfg.duration = SimTime::seconds(5.0);
   EXPECT_NO_THROW(sim::run_sharded_city(cfg));
+
+  // Fault streams are keyed by shard-local radio ids, so a lossy city would
+  // lose different frames at every shard count: refused.
+  cfg = test_city();
+  cfg.medium.fault.enabled = true;
+  cfg.medium.fault.ambient_loss = 0.2;
+  EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
 }
 
 TEST(ShardedCityTest, EventBudgetGuardTripsInsteadOfHanging) {
