@@ -48,15 +48,22 @@ void BM_SsidDbAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SsidDbAdd)->Arg(100)->Arg(500);
 
-void BM_SsidDbByWeight(benchmark::State& state) {
+void BM_SsidDbRecordHit(benchmark::State& state) {
+  // The maintained orders re-file one id per hit: the incremental cost that
+  // replaced the per-scan-window re-sort.
   auto db = make_db(static_cast<int>(state.range(0)));
+  const int n = static_cast<int>(state.range(0));
+  std::int64_t t = 0;
   for (auto _ : state) {
-    auto v = db.by_weight();
-    benchmark::DoNotOptimize(v);
+    db.record_hit("SSID-" + std::to_string(t % n), 8.0,
+                  support::SimTime::seconds(t));
+    ++t;
   }
 }
-BENCHMARK(BM_SsidDbByWeight)->Arg(100)->Arg(500)->Arg(2000);
+BENCHMARK(BM_SsidDbRecordHit)->Arg(500)->Arg(2000);
 
+/// Args: {database size, SSIDs already sent to the client}. The 2000/200
+/// row is a long-staying venue client against a grown database.
 void BM_BufferSelect(benchmark::State& state) {
   auto db = make_db(static_cast<int>(state.range(0)));
   support::Rng rng(3);
@@ -66,13 +73,13 @@ void BM_BufferSelect(benchmark::State& state) {
                   1.0, support::SimTime::seconds(i));
   }
   core::BufferSelector selector(core::BufferSelectorConfig{}, rng.fork("s"));
-  const auto by_weight = db.by_weight();
-  const auto by_fresh = db.by_freshness();
-  std::unordered_set<std::string> sent;
-  for (int i = 0; i < 60; ++i) sent.insert("SSID-" + std::to_string(i));
+  core::SsidIdSet sent;
+  for (int i = 0; i < state.range(1); ++i) {
+    sent.insert(db.id_of("SSID-" + std::to_string(i)));
+  }
   const auto a0 = bench::alloc_count();
   for (auto _ : state) {
-    auto choices = selector.select(by_weight, by_fresh, &sent);
+    auto choices = selector.select(db, &sent);
     benchmark::DoNotOptimize(choices);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 40);
@@ -80,7 +87,7 @@ void BM_BufferSelect(benchmark::State& state) {
       static_cast<double>(bench::alloc_count() - a0) /
       static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_BufferSelect)->Arg(300)->Arg(1000);
+BENCHMARK(BM_BufferSelect)->Args({300, 60})->Args({1000, 60})->Args({2000, 200});
 
 // --- RNG streams ----------------------------------------------------------
 

@@ -13,6 +13,13 @@
 // Moving variants displace one radio before each transmit to price the
 // incremental grid maintenance (and pair-cache invalidation) into the win.
 //
+// Unicast rows send probe-response trains to one receiver at a time, the
+// attacker's venue traffic. In the Filtered row every receiver declares its
+// own address (Radio::set_rx_address), so the other in-range receivers are
+// counted without path loss or a sink call; the Promiscuous row is the same
+// traffic with no address declared. delivered_per_tx matches between the
+// two; dispatched_per_tx is what the filter saves.
+//
 // Each case reports allocs_per_tx next to delivered_per_tx: the pooled
 // transmission objects, inline event storage, flat radio table and reused
 // gather scratch should hold the static cases at ~0 heap allocations per
@@ -183,6 +190,45 @@ void attach_churn_loop(benchmark::State& state, Mode mode) {
   state.counters["delivered"] = static_cast<double>(crowd.sink.frames);
 }
 
+void unicast_loop(benchmark::State& state, bool filtering) {
+  Crowd crowd(static_cast<int>(state.range(0)), Mode::kBatched);
+  support::Rng rng(11);
+  const auto bssid = dot11::MacAddress::random_local(rng);
+  // Trains go to the receivers nearest the transmitter, which hear it.
+  std::vector<dot11::Frame> frames;
+  for (std::size_t i = 0; i < crowd.receivers.size(); ++i) {
+    const auto addr = dot11::MacAddress::random_local(rng);
+    if (filtering) crowd.receivers[i].set_rx_address(addr);
+    const Position p = crowd.receivers[i].position();
+    if (p.x * p.x + p.y * p.y < 50.0 * 50.0 && frames.size() < 16) {
+      frames.push_back(
+          dot11::make_probe_response(bssid, addr, "bench-ssid", 6, true));
+    }
+  }
+  if (frames.empty()) {
+    state.SkipWithError("no receiver within 50 m");
+    return;
+  }
+  crowd.tx.transmit(frames[0]);
+  crowd.events.run_all();
+  const auto d0 = crowd.medium.deliveries();
+  const auto s0 = crowd.sink.frames;
+  const auto a0 = cityhunter::bench::alloc_count();
+  std::size_t k = 0;
+  for (auto _ : state) {
+    crowd.tx.transmit(frames[k++ % frames.size()]);
+    crowd.events.run_all();
+  }
+  state.SetItemsProcessed(state.iterations());
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["delivered_per_tx"] =
+      static_cast<double>(crowd.medium.deliveries() - d0) / iters;
+  state.counters["dispatched_per_tx"] =
+      static_cast<double>(crowd.sink.frames - s0) / iters;
+  state.counters["allocs_per_tx"] =
+      static_cast<double>(cityhunter::bench::alloc_count() - a0) / iters;
+}
+
 void BM_DeliverBatched(benchmark::State& state) {
   deliver_loop(state, Mode::kBatched, /*move=*/false);
 }
@@ -201,6 +247,12 @@ void BM_DeliverBatchedChannelMixed(benchmark::State& state) {
   deliver_loop(state, Mode::kBatched, /*move=*/false,
                /*mixed_channels=*/true);
 }
+void BM_DeliverUnicastFiltered(benchmark::State& state) {
+  unicast_loop(state, /*filtering=*/true);
+}
+void BM_DeliverUnicastPromiscuous(benchmark::State& state) {
+  unicast_loop(state, /*filtering=*/false);
+}
 void BM_ChurnSetChannelStorm(benchmark::State& state) {
   churn_loop(state, Mode::kBatched);
 }
@@ -213,6 +265,8 @@ BENCHMARK(BM_DeliverBatchedNoCache)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_DeliverLegacyScan)->Arg(100)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedMoving)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedChannelMixed)->Arg(1000)->Arg(4000)->Arg(20000);
+BENCHMARK(BM_DeliverUnicastFiltered)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_DeliverUnicastPromiscuous)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_ChurnSetChannelStorm)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_ChurnAttachDetach)->Arg(1000)->Arg(10000);
 

@@ -34,12 +34,11 @@ class NearbyOnlyAttacker : public core::Attacker {
   std::vector<core::SsidChoice> select_ssids(const core::ClientRecord& client,
                                              int budget) override {
     std::vector<core::SsidChoice> out;
-    for (const auto* rec : database().by_weight()) {
+    for (const core::SsidId id : database().by_weight()) {
       if (out.size() >= static_cast<std::size_t>(budget)) break;
-      if (client.sent.count(rec->ssid) != 0) continue;
-      out.push_back(core::SsidChoice{rec->ssid,
-                                     core::SelectionTag::kUntriedSweep,
-                                     rec->source});
+      if (client.sent.contains(id)) continue;
+      out.push_back(core::SsidChoice{id, core::SelectionTag::kUntriedSweep,
+                                     database().record(id).source});
     }
     return out;
   }

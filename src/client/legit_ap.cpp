@@ -13,6 +13,7 @@ void LegitimateAp::start() {
   if (started_) return;
   started_ = true;
   radio_ = medium_.attach(cfg_.pos, cfg_.channel, cfg_.tx_power_dbm, this);
+  radio_.set_rx_address(cfg_.bssid);  // exactly on_frame's for_us test
 }
 
 void LegitimateAp::stop() {

@@ -38,6 +38,7 @@ void Smartphone::start() {
   if (started_) return;
   started_ = true;
   radio_ = medium_.attach(pos_, cfg_.channel, cfg_.tx_power_dbm, this);
+  radio_.set_rx_address(mac_);  // on_frame drops other unicast anyway
   if (!associated_ap_) {
     schedule_next_scan(
         SimTime::microseconds(static_cast<std::int64_t>(rng_.uniform(
@@ -79,6 +80,7 @@ void Smartphone::begin_scan() {
     // New scan, new identity: the join handshake continues under the scan's
     // MAC (as real randomising devices do pre-association).
     mac_ = dot11::MacAddress::random_local(rng_);
+    radio_.set_rx_address(mac_);
   }
 
   // Legacy devices disclose their PNL via one direct probe per entry; all

@@ -65,8 +65,17 @@ void Attacker::respond_to_direct_probe(ClientRecord& c,
   dot11::make_probe_response_into(tx_frame_, cfg_.bssid, c.mac, ssid,
                                   cfg_.channel, /*open=*/true, next_seq());
   radio_.transmit(tx_frame_);
-  c.offered[ssid] =
-      SsidChoice{ssid, SelectionTag::kDirectReply, SsidSource::kDirectProbe};
+  const SsidId id = db_.id_of(ssid);
+  if (id != kNoSsid) {
+    note_offer(c, id, SelectionTag::kDirectReply);
+  } else {
+    c.replied_unknown.insert(ssid);
+  }
+}
+
+void Attacker::note_offer(ClientRecord& c, SsidId id, SelectionTag tag) {
+  if (id >= c.offered.size()) c.offered.resize(id + 1, 0);
+  c.offered[id] = static_cast<std::uint8_t>(static_cast<int>(tag) + 1);
 }
 
 void Attacker::respond_to_broadcast_probe(ClientRecord& c) {
@@ -82,13 +91,12 @@ void Attacker::respond_to_broadcast_probe(ClientRecord& c) {
     metrics_->observe(scan_fill_id_, static_cast<double>(choices.size()));
   }
   for (const auto& choice : choices) {
-    dot11::make_probe_response_into(tx_frame_, cfg_.bssid, c.mac, choice.ssid,
-                                    cfg_.channel, /*open=*/true, next_seq());
+    dot11::make_probe_response_into(tx_frame_, cfg_.bssid, c.mac,
+                                    db_.record(choice.id).ssid, cfg_.channel,
+                                    /*open=*/true, next_seq());
     radio_.transmit(tx_frame_);
-    if (c.sent.insert(choice.ssid).second) {
-      ++c.ssids_sent;
-    }
-    c.offered[choice.ssid] = choice;
+    if (c.sent.insert(choice.id)) ++c.ssids_sent;
+    note_offer(c, choice.id, choice.tag);
   }
 }
 
@@ -134,8 +142,19 @@ void Attacker::on_frame(const Frame& frame, const medium::RxInfo&) {
         ++connected_count_;
         const auto ssid = body->ies.ssid().value_or("");
         c.hit_ssid = ssid;
-        auto it = c.offered.find(ssid);
-        if (it != c.offered.end()) c.hit_choice = it->second;
+        // Records are never removed, so an offer by id is newer than any
+        // reply to the same SSID from before it joined the database.
+        const SsidId id = db_.id_of(ssid);
+        if (id < c.offered.size() && c.offered[id] != 0) {
+          const auto tag = static_cast<SelectionTag>(c.offered[id] - 1);
+          c.hit_choice = SsidChoice{id, tag,
+                                    tag == SelectionTag::kDirectReply
+                                        ? SsidSource::kDirectProbe
+                                        : db_.record(id).source};
+        } else if (c.replied_unknown.count(ssid) != 0) {
+          c.hit_choice = SsidChoice{kNoSsid, SelectionTag::kDirectReply,
+                                    SsidSource::kDirectProbe};
+        }
         on_hit(c, ssid, now());
       }
       return;

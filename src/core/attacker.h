@@ -13,7 +13,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -42,9 +41,11 @@ enum class SelectionTag {
 
 const char* to_string(SelectionTag t);
 
-/// One SSID chosen for a response train, with attribution.
+/// One SSID chosen for a response train, with attribution. `id` names a
+/// record of the attacker's database (kNoSsid only for a direct reply to an
+/// SSID outside it).
 struct SsidChoice {
-  std::string ssid;
+  SsidId id = kNoSsid;
   SelectionTag tag = SelectionTag::kUntriedSweep;
   SsidSource source = SsidSource::kDirectProbe;
 };
@@ -60,9 +61,14 @@ struct ClientRecord {
 
   /// Distinct SSIDs offered to this client in broadcast responses.
   int ssids_sent = 0;
-  std::unordered_set<std::string> sent;
-  /// Attribution of the latest offer of each SSID.
-  std::unordered_map<std::string, SsidChoice> offered;
+  SsidIdSet sent;
+  /// Attribution of the latest offer of each database id: its tag + 1, or 0
+  /// when never offered. The source is the record's (kDirectProbe for a
+  /// direct reply).
+  std::vector<std::uint8_t> offered;
+  /// SSIDs outside the database this client got a direct reply for
+  /// (KARMA's case).
+  std::unordered_set<std::string> replied_unknown;
 
   /// Filled in on association.
   std::string hit_ssid;
@@ -116,9 +122,10 @@ class Attacker : public medium::FrameSink {
   void on_frame(const dot11::Frame& frame, const medium::RxInfo& info) override;
 
  protected:
-  /// Strategy hook: choose up to `budget` SSIDs for a broadcast probe from
-  /// `client`. Entries already offered to the client are the subclass's
-  /// business (MANA deliberately repeats itself; City-Hunter filters).
+  /// Strategy hook: choose up to `budget` database SSIDs for a broadcast
+  /// probe from `client`, each with its record's source. Entries already
+  /// offered to the client (`client.sent`) are the subclass's business (MANA
+  /// deliberately repeats itself; City-Hunter filters).
   virtual std::vector<SsidChoice> select_ssids(const ClientRecord& client,
                                                int budget) = 0;
 
@@ -140,6 +147,8 @@ class Attacker : public medium::FrameSink {
   ClientRecord& client(const dot11::MacAddress& mac);
   void respond_to_direct_probe(ClientRecord& c, const std::string& ssid);
   void respond_to_broadcast_probe(ClientRecord& c);
+  /// Record an offer of database SSID `id` for hit attribution.
+  static void note_offer(ClientRecord& c, SsidId id, SelectionTag tag);
 
   BaseConfig cfg_;
   medium::Radio radio_;

@@ -10,60 +10,53 @@ BufferSelector::BufferSelector(BufferSelectorConfig cfg, support::Rng rng)
                         cfg_.budget - cfg_.min_buffer_size);
 }
 
-std::vector<const SsidRecord*> BufferSelector::collect(
-    const std::vector<const SsidRecord*>& ranked, std::size_t want,
-    const std::unordered_set<std::string>* already_sent,
-    const std::unordered_set<const SsidRecord*>& used) {
-  std::vector<const SsidRecord*> out;
-  out.reserve(want);
-  for (const auto* rec : ranked) {
+void BufferSelector::collect(const std::vector<SsidId>& ranked,
+                             std::size_t want, const SsidIdSet* already_sent,
+                             std::vector<SsidId>& out) {
+  out.clear();
+  for (const SsidId id : ranked) {
     if (out.size() >= want) break;
-    if (used.count(rec) != 0) continue;
-    if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
-      continue;
-    }
-    out.push_back(rec);
+    if (used_[id] == epoch_) continue;
+    if (already_sent != nullptr && already_sent->contains(id)) continue;
+    out.push_back(id);
   }
-  return out;
 }
 
-void BufferSelector::emit_buffer(
-    const std::vector<const SsidRecord*>& candidates, std::size_t main_size,
-    SelectionTag main_tag, SelectionTag ghost_tag,
-    std::vector<SsidChoice>& out) {
-  std::vector<const SsidRecord*> main(
-      candidates.begin(),
-      candidates.begin() + static_cast<long>(
-                               std::min(main_size, candidates.size())));
-  std::vector<const SsidRecord*> ghosts(
-      candidates.begin() + static_cast<long>(main.size()), candidates.end());
-
+void BufferSelector::emit_buffer(const SsidDatabase& db,
+                                 const std::vector<SsidId>& cands,
+                                 std::size_t main_size, SelectionTag main_tag,
+                                 SelectionTag ghost_tag,
+                                 std::vector<SsidChoice>& out) {
+  // cands = [main | ghosts]: the buffer, then its ghost list.
+  const std::size_t n_main = std::min(main_size, cands.size());
+  const std::size_t n_ghosts = cands.size() - n_main;
   std::size_t picks = 0;
   if (cfg_.use_ghosts) {
-    picks = std::min({static_cast<std::size_t>(cfg_.ghost_picks),
-                      ghosts.size(), main.size()});
+    picks = std::min({static_cast<std::size_t>(cfg_.ghost_picks), n_ghosts,
+                      n_main});
   }
+  const auto emit = [&](SsidId id, SelectionTag tag) {
+    chosen_[id] = epoch_;
+    out.push_back(SsidChoice{id, tag, db.record(id).source});
+  };
   // Replace the lowest-ranked `picks` of the buffer with random ghosts.
-  main.resize(main.size() - picks);
-  for (const auto* rec : main) {
-    out.push_back(SsidChoice{rec->ssid, main_tag, rec->source});
-  }
+  for (std::size_t i = 0; i + picks < n_main; ++i) emit(cands[i], main_tag);
   if (picks > 0) {
-    const auto idx = rng_.sample_indices(ghosts.size(), picks);
-    for (const auto i : idx) {
-      out.push_back(SsidChoice{ghosts[i]->ssid, ghost_tag, ghosts[i]->source});
+    for (const auto i : rng_.sample_indices(n_ghosts, picks)) {
+      emit(cands[n_main + i], ghost_tag);
     }
   }
+  for (const SsidId id : cands) used_[id] = epoch_;
 }
 
-std::vector<SsidChoice> BufferSelector::select(
-    const std::vector<const SsidRecord*>& by_weight,
-    const std::vector<const SsidRecord*>& by_freshness,
-    const std::unordered_set<std::string>* already_sent) {
+std::vector<SsidChoice> BufferSelector::select(const SsidDatabase& db,
+                                               const SsidIdSet* already_sent) {
   const auto budget = static_cast<std::size_t>(cfg_.budget);
   std::vector<SsidChoice> out;
   out.reserve(budget);
-  std::unordered_set<const SsidRecord*> used;
+  ++epoch_;
+  used_.resize(db.size(), 0);
+  chosen_.resize(db.size(), 0);
 
   // Popularity buffer first: an SSID that is both popular and fresh belongs
   // to (and is attributed to) PB; FB captures the fresh-but-not-popular
@@ -71,39 +64,31 @@ std::vector<SsidChoice> BufferSelector::select(
   const auto pb_target = cfg_.use_freshness
                              ? static_cast<std::size_t>(pb_size())
                              : budget;
-  const auto p_cands = collect(
-      by_weight, pb_target + static_cast<std::size_t>(cfg_.ghost_size),
-      already_sent, used);
-  emit_buffer(p_cands, std::min(pb_target, p_cands.size()),
-              SelectionTag::kPopularity, SelectionTag::kPopularityGhost, out);
-  for (const auto* rec : p_cands) used.insert(rec);
+  collect(db.by_weight(),
+          pb_target + static_cast<std::size_t>(cfg_.ghost_size), already_sent,
+          cands_);
+  emit_buffer(db, cands_, pb_target, SelectionTag::kPopularity,
+              SelectionTag::kPopularityGhost, out);
 
   // Freshness buffer fills the remaining budget (all of it when the
   // popularity side ran out of untried SSIDs).
   if (cfg_.use_freshness && out.size() < budget) {
     const std::size_t fresh_want = budget - out.size();
-    const auto f_cands = collect(
-        by_freshness, fresh_want + static_cast<std::size_t>(cfg_.ghost_size),
-        already_sent, used);
-    emit_buffer(f_cands, std::min(fresh_want, f_cands.size()),
-                SelectionTag::kFreshness, SelectionTag::kFreshnessGhost, out);
-    for (const auto* rec : f_cands) used.insert(rec);
+    collect(db.by_freshness(),
+            fresh_want + static_cast<std::size_t>(cfg_.ghost_size),
+            already_sent, cands_);
+    emit_buffer(db, cands_, fresh_want, SelectionTag::kFreshness,
+                SelectionTag::kFreshnessGhost, out);
   }
 
   // Early in a deployment few SSIDs have hit yet: backfill any freshness
   // deficit with more popularity candidates rather than waste budget.
-  if (out.size() < budget) {
-    std::unordered_set<std::string> chosen;
-    for (const auto& c : out) chosen.insert(c.ssid);
-    for (const auto* rec : by_weight) {
-      if (out.size() >= budget) break;
-      if (chosen.count(rec->ssid) != 0) continue;
-      if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
-        continue;
-      }
-      out.push_back(
-          SsidChoice{rec->ssid, SelectionTag::kPopularity, rec->source});
-    }
+  for (const SsidId id : db.by_weight()) {
+    if (out.size() >= budget) break;
+    if (chosen_[id] == epoch_) continue;
+    if (already_sent != nullptr && already_sent->contains(id)) continue;
+    out.push_back(
+        SsidChoice{id, SelectionTag::kPopularity, db.record(id).source});
   }
   return out;
 }

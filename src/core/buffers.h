@@ -11,7 +11,6 @@
 // transplanted from cache lines to SSIDs.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/attacker.h"
@@ -36,13 +35,10 @@ class BufferSelector {
  public:
   BufferSelector(BufferSelectorConfig cfg, support::Rng rng);
 
-  /// Choose up to cfg.budget SSIDs. `by_weight` / `by_freshness` are the
-  /// database's sorted views; `already_sent` may be null (no untried
-  /// tracking).
-  std::vector<SsidChoice> select(
-      const std::vector<const SsidRecord*>& by_weight,
-      const std::vector<const SsidRecord*>& by_freshness,
-      const std::unordered_set<std::string>* already_sent);
+  /// Choose up to cfg.budget SSIDs from the database's maintained orders.
+  /// `already_sent` may be null (no untried tracking).
+  std::vector<SsidChoice> select(const SsidDatabase& db,
+                                 const SsidIdSet* already_sent);
 
   /// Feed back the selection tag of a successful hit; adjusts the PB/FB
   /// split when the tag is a ghost tag and adaptation is enabled.
@@ -58,14 +54,12 @@ class BufferSelector {
   std::uint64_t pb_shrinks() const { return pb_shrinks_; }
 
  private:
-  /// Collect up to `want` untried records from `ranked` starting at the
-  /// cursor position, skipping entries already in `used`.
-  static std::vector<const SsidRecord*> collect(
-      const std::vector<const SsidRecord*>& ranked, std::size_t want,
-      const std::unordered_set<std::string>* already_sent,
-      const std::unordered_set<const SsidRecord*>& used);
+  /// Collect into `out` up to `want` untried ids from `ranked`, skipping ids
+  /// already collected by this selection.
+  void collect(const std::vector<SsidId>& ranked, std::size_t want,
+               const SsidIdSet* already_sent, std::vector<SsidId>& out);
 
-  void emit_buffer(const std::vector<const SsidRecord*>& candidates,
+  void emit_buffer(const SsidDatabase& db, const std::vector<SsidId>& cands,
                    std::size_t main_size, SelectionTag main_tag,
                    SelectionTag ghost_tag, std::vector<SsidChoice>& out);
 
@@ -74,6 +68,14 @@ class BufferSelector {
   int pb_size_;
   std::uint64_t pb_grows_ = 0;
   std::uint64_t pb_shrinks_ = 0;
+  /// Per-selection membership by epoch stamp, indexed by SsidId: an id is
+  /// collected (`used_`) or emitted (`chosen_`) in this selection iff its
+  /// stamp equals epoch_. A new selection bumps the epoch, clearing both
+  /// (64 bits: it never wraps).
+  std::uint64_t epoch_ = 0;
+  std::vector<std::uint64_t> used_;
+  std::vector<std::uint64_t> chosen_;
+  std::vector<SsidId> cands_;  // collect scratch
 };
 
 }  // namespace cityhunter::core

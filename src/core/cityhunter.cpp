@@ -41,19 +41,9 @@ void CityHunter::on_hit(const ClientRecord& client, const std::string& ssid,
   }
 }
 
-void CityHunter::refresh_views() {
-  if (views_version_ == db_.version()) return;
-  by_weight_ = db_.by_weight();
-  by_freshness_ = db_.by_freshness();
-  views_version_ = db_.version();
-}
-
 std::vector<SsidChoice> CityHunter::select_ssids(const ClientRecord& client,
                                                  int /*budget*/) {
-  refresh_views();
-  const std::unordered_set<std::string>* sent_filter =
-      cfg_.untried_tracking ? &client.sent : nullptr;
-  return selector_.select(by_weight_, by_freshness_, sent_filter);
+  return selector_.select(db_, cfg_.untried_tracking ? &client.sent : nullptr);
 }
 
 }  // namespace cityhunter::core

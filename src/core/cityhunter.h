@@ -54,15 +54,8 @@ class CityHunter : public Attacker {
                                        int budget) override;
 
  private:
-  void refresh_views();
-
   Config cfg_;
   BufferSelector selector_;
-
-  // Sorted-view cache keyed on the database's mutation counter.
-  std::uint64_t views_version_ = ~std::uint64_t{0};
-  std::vector<const SsidRecord*> by_weight_;
-  std::vector<const SsidRecord*> by_freshness_;
 };
 
 }  // namespace cityhunter::core

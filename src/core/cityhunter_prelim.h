@@ -43,11 +43,11 @@ class CityHunterPrelim : public Attacker {
     refresh_order();
     std::vector<SsidChoice> out;
     out.reserve(static_cast<std::size_t>(budget));
-    for (const auto* rec : ordered_) {
+    for (const SsidId id : ordered_) {
       if (out.size() >= static_cast<std::size_t>(budget)) break;
-      if (client.sent.count(rec->ssid) != 0) continue;
-      out.push_back(
-          SsidChoice{rec->ssid, SelectionTag::kUntriedSweep, rec->source});
+      if (client.sent.contains(id)) continue;
+      out.push_back(SsidChoice{id, SelectionTag::kUntriedSweep,
+                               db_.record(id).source});
     }
     return out;
   }
@@ -57,22 +57,25 @@ class CityHunterPrelim : public Attacker {
   /// unordered set and responses come out in whatever order the container
   /// yields (§III). We model that with a deterministic hash order, which is
   /// as good as random with respect to SSID popularity.
+  /// Records are only appended, so each new id is filed once, after the
+  /// older ids of an equal hash.
   void refresh_order() {
-    if (order_version_ == db_.version()) return;
-    ordered_ = db_.by_insertion();
-    std::sort(ordered_.begin(), ordered_.end(),
-              [](const SsidRecord* a, const SsidRecord* b) {
-                const auto ha = std::hash<std::string>{}(a->ssid);
-                const auto hb = std::hash<std::string>{}(b->ssid);
-                if (ha != hb) return ha < hb;
-                return a->insertion_order < b->insertion_order;
-              });
-    order_version_ = db_.version();
+    const auto hash = [this](SsidId id) {
+      return std::hash<std::string>{}(db_.record(id).ssid);
+    };
+    for (auto id = static_cast<SsidId>(ordered_.size()); id < db_.size();
+         ++id) {
+      ordered_.insert(std::upper_bound(ordered_.begin(), ordered_.end(),
+                                       hash(id),
+                                       [&hash](std::size_t h, SsidId b) {
+                                         return h < hash(b);
+                                       }),
+                      id);
+    }
   }
 
   Config cfg_;
-  std::uint64_t order_version_ = ~std::uint64_t{0};
-  std::vector<const SsidRecord*> ordered_;
+  std::vector<SsidId> ordered_;
 };
 
 }  // namespace cityhunter::core

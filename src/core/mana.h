@@ -38,14 +38,14 @@ class ManaAttacker : public Attacker {
                                        int /*budget*/) override {
     // Deliberately ignores the budget and any per-client history: dump
     // everything, every time.
+    // Ids are insertion order.
     std::vector<SsidChoice> out;
-    const auto records = db_.by_insertion();
     const auto n = std::min<std::size_t>(
-        records.size(), static_cast<std::size_t>(cfg_.max_dump));
+        db_.size(), static_cast<std::size_t>(cfg_.max_dump));
     out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(SsidChoice{records[i]->ssid, SelectionTag::kPlainDump,
-                               records[i]->source});
+    for (SsidId id = 0; id < n; ++id) {
+      out.push_back(SsidChoice{id, SelectionTag::kPlainDump,
+                               db_.record(id).source});
     }
     return out;
   }

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/dense_bitset.h"
 #include "support/sim_time.h"
 
 namespace cityhunter::core {
@@ -33,8 +34,16 @@ struct SsidRecord {
   int hits = 0;
   std::optional<SimTime> last_hit;
   SimTime added;
-  std::uint64_t insertion_order = 0;
 };
+
+/// Dense id of an SSID within one SsidDatabase: its index in records(),
+/// which is its insertion order. Ids are stable for the database's lifetime
+/// (records are only appended) and survive a checkpoint, which stores
+/// records in insertion order.
+using SsidId = std::uint32_t;
+inline constexpr SsidId kNoSsid = ~SsidId{0};
+/// Per-client untried tracking: the ids already offered.
+using SsidIdSet = support::DenseBitset;
 
 class SsidDatabase {
  public:
@@ -54,42 +63,41 @@ class SsidDatabase {
   /// and freshness updated. Unknown SSIDs are ignored.
   void record_hit(const std::string& ssid, double hit_bonus, SimTime now);
 
-  bool contains(const std::string& ssid) const {
-    return index_.count(ssid) != 0;
-  }
   const SsidRecord* find(const std::string& ssid) const;
+  /// The SSID's id, kNoSsid when unknown.
+  SsidId id_of(const std::string& ssid) const;
+  const SsidRecord& record(SsidId id) const { return records_[id]; }
   std::size_t size() const { return records_.size(); }
 
-  /// All records ordered by descending weight (stable: insertion order
-  /// breaks ties). O(n log n); attacker code caches between mutations.
-  std::vector<const SsidRecord*> by_weight() const;
+  /// Every id by descending weight, insertion order (= id) breaking ties.
+  /// Maintained in place by every mutation (no re-sort per read).
+  const std::vector<SsidId>& by_weight() const { return by_weight_; }
 
-  /// Records with at least one hit, most recent hit first.
-  std::vector<const SsidRecord*> by_freshness() const;
-
-  /// Records in insertion order (what plain MANA replays).
-  std::vector<const SsidRecord*> by_insertion() const;
+  /// Ids with at least one hit, most recent hit first, insertion order
+  /// breaking ties. Maintained in place like by_weight().
+  const std::vector<SsidId>& by_freshness() const { return by_freshness_; }
 
   std::size_t count_from(SsidSource source) const;
 
-  /// Monotonic mutation counter — lets callers cache sorted views.
-  std::uint64_t version() const { return version_; }
-
-  /// Insertion-ordered backing records — the database's full state, used by
-  /// the campaign checkpoint (sim/checkpoint) to serialize it verbatim.
+  /// Insertion-ordered backing records (index == SsidId) — the database's
+  /// full state, used by the campaign checkpoint (sim/checkpoint) to
+  /// serialize it verbatim.
   const std::vector<SsidRecord>& records() const { return records_; }
 
   /// Rebuild the database from checkpointed records (must be in insertion
-  /// order). The index and insertion counter are reconstructed so that
-  /// subsequent add()/record_hit() behaviour is bit-identical to the
-  /// database the records were captured from.
+  /// order, no NaN weight). The index and both orders are reconstructed so
+  /// that subsequent add()/record_hit() behaviour is bit-identical to the
+  /// database the records came from.
   void restore(std::vector<SsidRecord> records);
 
  private:
+  /// Set `id`'s weight and re-file it in by_weight_.
+  void set_weight(SsidId id, double weight);
+
   std::vector<SsidRecord> records_;
-  std::unordered_map<std::string, std::size_t> index_;
-  std::uint64_t next_order_ = 0;
-  std::uint64_t version_ = 0;
+  std::unordered_map<std::string, SsidId> index_;
+  std::vector<SsidId> by_weight_;
+  std::vector<SsidId> by_freshness_;
 };
 
 }  // namespace cityhunter::core

@@ -1,28 +1,60 @@
 #include "dot11/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace cityhunter::dot11 {
 
 namespace {
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: kTables[0] is the classic byte-at-a-time table, and
+// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups fold eight input bytes at once.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
   }
   return t;
 }
-constexpr auto kTable = make_table();
+constexpr Tables kTables = make_tables();
+
+// Little-endian 32-bit load, independent of host byte order and alignment.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) {
-    c = kTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  while (n >= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+    p += 8;
+    n -= 8;
+  }
+  for (; n > 0; --n, ++p) {
+    c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -84,10 +84,12 @@ void Medium::detach(Radio& radio) {
 
 Medium::RadioSnapshot Medium::export_radio(Radio& radio) {
   const RadioState& st = state(radio.id_);
-  const RadioSnapshot snapshot{st.pos,         st.channel,
-                               st.tx_power_dbm, st.frames_sent,
-                               st.frames_received, st.tx_seq,
-                               st.tx_retries,  st.rx_lost};
+  const RadioSnapshot snapshot{
+      st.pos,         st.channel,
+      st.tx_power_dbm, st.frames_sent,
+      st.frames_received, st.tx_seq,
+      st.tx_retries,  st.rx_lost,
+      st.rx_filter ? std::optional(st.rx_addr) : std::nullopt};
   detach(radio);
   return snapshot;
 }
@@ -101,6 +103,7 @@ Radio Medium::import_radio(const RadioSnapshot& snapshot, FrameSink* sink) {
   st.tx_seq = snapshot.tx_seq;
   st.tx_retries = snapshot.tx_retries;
   st.rx_lost = snapshot.rx_lost;
+  set_rx_address(radio.id_, snapshot.rx_address);
   return radio;
 }
 
@@ -545,6 +548,13 @@ void Medium::set_sink(RadioId id, FrameSink* sink) {
   update_soa_key(slot);
 }
 
+void Medium::set_rx_address(RadioId id,
+                            std::optional<dot11::MacAddress> addr) {
+  RadioState& st = state(id);
+  st.rx_filter = addr.has_value();
+  st.rx_addr = addr.value_or(dot11::MacAddress());
+}
+
 Medium::Transmission& Medium::acquire_txn() {
   if (free_txns_.empty()) {
     all_txns_.push_back(std::make_unique<Transmission>());
@@ -777,7 +787,8 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
   std::uint32_t head_slot[9] = {};
   for (int i = 0; i < nruns; ++i) head_slot[i] = cand[runs[i].begin].slot;
 
-  const bool multicast = frame.header.addr1.is_multicast();
+  const dot11::MacAddress& to = frame.header.addr1;
+  const bool multicast = to.is_multicast();
   while (nruns > 0) {
     int best = 0;
     for (int i = 1; i < nruns; ++i) {
@@ -793,8 +804,11 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
     // radio (or cleared its sink) mid-fanout; skip before any fault draw is
     // consumed, exactly as the full scan does.
     if (!st.attached || st.sink == nullptr) continue;
+    // RX-address filter: a unicast frame for another address is counted
+    // (and, on a lossy channel, still drawn) but needs no RSSI and no sink.
+    const bool addressed = multicast || !st.rx_filter || st.rx_addr == to;
     const Position rx_pos{c.x, c.y};  // frozen at gather time
-    double rx_dbm;
+    double rx_dbm = 0.0;
     if (fault_rng != nullptr) {
       // The erasure draw below must see bit-identical RX power to the full
       // scan, so lossy runs always take the exact hypot + log10 road;
@@ -813,16 +827,12 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
         }
         continue;
       }
-    } else if (cfg_.pathloss_cache && !pair_cache_.empty()) {
-      rx_dbm = pair_cached_rx_dbm(self, c.slot, tx_power_dbm, c.dist_sq,
-                                  tx_pos, rx_pos);
-    } else {
-      rx_dbm = survivor_rx_dbm(tx_power_dbm, c.dist_sq, tx_pos, rx_pos);
+    } else if (addressed) {
+      rx_dbm = cfg_.pathloss_cache && !pair_cache_.empty()
+                   ? pair_cached_rx_dbm(self, c.slot, tx_power_dbm,
+                                        c.dist_sq, tx_pos, rx_pos)
+                   : survivor_rx_dbm(tx_power_dbm, c.dist_sq, tx_pos, rx_pos);
     }
-    RxInfo info;
-    info.rssi_dbm = rx_dbm;
-    info.time = events_.now();
-    info.channel = channel;
     ++st.frames_received;
     ++deliveries_;
     if (trace_ != nullptr) {
@@ -830,6 +840,11 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
                      obs::Event::kDeliver, static_cast<RadioId>(c.slot) + 1,
                      from);
     }
+    if (!addressed) continue;
+    RxInfo info;
+    info.rssi_dbm = rx_dbm;
+    info.time = events_.now();
+    info.channel = channel;
     st.sink->on_frame(frame, info);
   }
 }
@@ -925,6 +940,9 @@ void Radio::set_channel(std::uint8_t ch) { medium_->set_channel(id_, ch); }
 double Radio::tx_power_dbm() const { return medium_->state(id_).tx_power_dbm; }
 void Radio::set_tx_power_dbm(double dbm) { medium_->set_tx_power(id_, dbm); }
 void Radio::set_sink(FrameSink* sink) { medium_->set_sink(id_, sink); }
+void Radio::set_rx_address(std::optional<dot11::MacAddress> addr) {
+  medium_->set_rx_address(id_, addr);
+}
 
 void Radio::transmit(const dot11::Frame& frame) {
   medium_->transmit(id_, frame);

@@ -46,6 +46,15 @@
 // key against the transmission's channel; FanoutStats counts the entries
 // that fail it as index waste (zero while the partition is the key).
 //
+// Receive-address filter: a radio may declare the address its NIC answers
+// to (Radio::set_rx_address). A unicast frame for any other address still
+// counts as delivered to it (frames_received, deliveries(), the kDeliver
+// trace record and, on a lossy channel, the erasure draw are unchanged) but
+// skips path loss and the sink call — the sink would have dropped it on its
+// first line. Radios that declare nothing stay promiscuous. The full scan
+// never filters, so every batched-vs-scan equivalence test doubles as a
+// proof that the filter changes no output.
+//
 // Everything runs on the calling thread: parallelism comes from world
 // shards (sim/shard) and the campaign pool (sim/parallel), not from inside
 // one fanout.
@@ -58,6 +67,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -133,6 +143,8 @@ class Medium {
     std::uint64_t tx_seq = 0;
     std::uint64_t tx_retries = 0;
     std::uint64_t rx_lost = 0;
+    /// Declared RX address (Radio::set_rx_address); nullopt = promiscuous.
+    std::optional<dot11::MacAddress> rx_address;
   };
 
   /// Snapshot `radio` and detach it. Precondition: the radio is idle (no
@@ -265,6 +277,9 @@ class Medium {
     Position pos;
     std::uint8_t channel = 1;
     bool attached = true;           // false once detached; slots never recycle
+    /// Declared RX address, valid iff rx_filter. Sits in the padding after
+    /// `attached`, so the filter costs the slab no bytes.
+    dot11::MacAddress rx_addr;
     double tx_power_dbm = 0.0;
     FrameSink* sink = nullptr;
     SimTime tx_busy_until;
@@ -283,7 +298,12 @@ class Medium {
     // Explicit membership flag: every 64-bit key is a legal cell (the cell
     // at (-1,-1) packs to all ones), so no in-band sentinel exists.
     bool in_grid = false;
+    /// The radio declared rx_addr: unicast frames for any other address are
+    /// counted as delivered but skip path loss and the sink call.
+    bool rx_filter = false;
   };
+  static_assert(sizeof(void*) != 8 || sizeof(RadioState) == 120,
+                "the RX-address filter must fit RadioState's padding");
 
   /// An in-flight transmission. Pooled: the wire buffer, the decoded frame
   /// every receiver shares, and the fault RNG keep their storage across
@@ -405,6 +425,7 @@ class Medium {
   void set_tx_power(RadioId id, double dbm);
   void set_channel(RadioId id, std::uint8_t ch);
   void set_sink(RadioId id, FrameSink* sink);
+  void set_rx_address(RadioId id, std::optional<dot11::MacAddress> addr);
 
   /// Refresh the radio's fused SoA listening key: 0 when it cannot receive
   /// (detached or no sink), channel + 1 otherwise. One uint16 compare in the

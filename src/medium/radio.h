@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "dot11/frame.h"
 #include "medium/geometry.h"
@@ -19,8 +20,11 @@ struct RxInfo {
 };
 
 /// Receiver callback. The medium delivers *every* decodable frame on the
-/// radio's channel (monitor-mode semantics); non-promiscuous consumers filter
-/// on addr1 themselves, exactly as a NIC would.
+/// radio's channel (monitor-mode semantics) unless the radio declared an RX
+/// address (Radio::set_rx_address): then unicast frames for other addresses
+/// never reach the sink, as with a NIC's hardware filter. A sink that
+/// declares an address must ignore unicast frames addressed elsewhere — the
+/// medium's full-scan oracle still hands them over.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -53,6 +57,9 @@ class Radio {
   double tx_power_dbm() const;
   void set_tx_power_dbm(double dbm);
   void set_sink(FrameSink* sink);
+  /// Declare the address this radio receives on (non-promiscuous), or
+  /// nullopt for monitor mode (the default).
+  void set_rx_address(std::optional<dot11::MacAddress> addr);
 
   /// Enqueue a frame for transmission. Transmissions from one radio are
   /// serialized: each occupies the air for its airtime (scaled by the

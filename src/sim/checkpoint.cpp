@@ -1,9 +1,12 @@
 #include "sim/checkpoint.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "dot11/crc32.h"
@@ -88,6 +91,21 @@ class ByteReader {
     return s;
   }
 
+  /// An element count for a sequence whose items occupy at least
+  /// `min_item_bytes` each. A count the remaining bytes cannot hold latches
+  /// fail() and yields 0, so callers may reserve() the result without
+  /// trusting the length field.
+  std::uint32_t count(std::size_t min_item_bytes) {
+    const std::uint32_t n = u32();
+    if (fail_ || n > remaining() / min_item_bytes) {
+      fail_ = true;
+      return 0;
+    }
+    return n;
+  }
+  /// Latch failure for a value the byte layout cannot catch.
+  void invalidate() { fail_ = true; }
+
   bool fail() const { return fail_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
@@ -148,19 +166,15 @@ stats::CampaignResult get_campaign_result(ByteReader& r) {
   out.hits_via_popularity_ghost = r.u64();
   out.hits_via_freshness = r.u64();
   out.hits_via_freshness_ghost = r.u64();
-  const std::uint32_t nc = r.u32();
-  if (!r.fail()) {
-    out.ssids_sent_connected.reserve(nc);
-    for (std::uint32_t i = 0; i < nc && !r.fail(); ++i) {
-      out.ssids_sent_connected.push_back(r.i32());
-    }
+  const std::uint32_t nc = r.count(4);
+  out.ssids_sent_connected.reserve(nc);
+  for (std::uint32_t i = 0; i < nc && !r.fail(); ++i) {
+    out.ssids_sent_connected.push_back(r.i32());
   }
-  const std::uint32_t nb = r.u32();
-  if (!r.fail()) {
-    out.ssids_sent_all_broadcast.reserve(nb);
-    for (std::uint32_t i = 0; i < nb && !r.fail(); ++i) {
-      out.ssids_sent_all_broadcast.push_back(r.i32());
-    }
+  const std::uint32_t nb = r.count(4);
+  out.ssids_sent_all_broadcast.reserve(nb);
+  for (std::uint32_t i = 0; i < nb && !r.fail(); ++i) {
+    out.ssids_sent_all_broadcast.push_back(r.i32());
   }
   return out;
 }
@@ -168,7 +182,8 @@ stats::CampaignResult get_campaign_result(ByteReader& r) {
 void put_database(std::string& out, const core::SsidDatabase& db) {
   const auto& records = db.records();
   put_u32(out, static_cast<std::uint32_t>(records.size()));
-  for (const auto& rec : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& rec = records[i];
     put_str(out, rec.ssid);
     put_f64(out, rec.weight);
     put_u8(out, static_cast<std::uint8_t>(rec.source));
@@ -176,35 +191,38 @@ void put_database(std::string& out, const core::SsidDatabase& db) {
     put_u8(out, rec.last_hit ? 1 : 0);
     if (rec.last_hit) put_sim_time(out, *rec.last_hit);
     put_sim_time(out, rec.added);
-    put_u64(out, rec.insertion_order);
+    put_u64(out, i);  // insertion order: a record's id is its index
   }
 }
 
 core::SsidDatabase get_database(ByteReader& r) {
-  const std::uint32_t n = r.u32();
+  // ssid length, weight, source, hits, has-hit flag, added, order.
+  const std::uint32_t n = r.count(4 + 8 + 1 + 4 + 1 + 8 + 8);
   std::vector<core::SsidRecord> records;
-  if (!r.fail()) records.reserve(n);
+  records.reserve(n);
   for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
     core::SsidRecord rec;
     rec.ssid = r.str();
     rec.weight = r.f64();
+    // The database orders records by weight; a NaN has no place in it.
+    if (std::isnan(rec.weight)) r.invalidate();
     rec.source = static_cast<core::SsidSource>(r.u8());
     rec.hits = r.i32();
     if (r.u8()) rec.last_hit = get_sim_time(r);
     rec.added = get_sim_time(r);
-    rec.insertion_order = r.u64();
+    if (r.u64() != i) r.invalidate();  // records come in insertion order
     records.push_back(std::move(rec));
   }
   core::SsidDatabase db;
-  db.restore(std::move(records));
+  if (!r.fail()) db.restore(std::move(records));
   return db;
 }
 
 RunOutput get_run_output(ByteReader& r) {
   RunOutput out;
   out.result = get_campaign_result(r);
-  const std::uint32_t ns = r.u32();
-  if (!r.fail()) out.series.reserve(ns);
+  const std::uint32_t ns = r.count(8 + 8 + 8);
+  out.series.reserve(ns);
   for (std::uint32_t i = 0; i < ns && !r.fail(); ++i) {
     SeriesPoint p;
     p.time = get_sim_time(r);
@@ -212,8 +230,8 @@ RunOutput get_run_output(ByteReader& r) {
     p.broadcast_connected = r.u64();
     out.series.push_back(p);
   }
-  const std::uint32_t nw = r.u32();
-  if (!r.fail()) out.window_rates.reserve(nw);
+  const std::uint32_t nw = r.count(8 + 8 + 8);
+  out.window_rates.reserve(nw);
   for (std::uint32_t i = 0; i < nw && !r.fail(); ++i) {
     stats::WindowRate w;
     w.start = get_sim_time(r);
@@ -242,8 +260,9 @@ RunOutput get_run_output(ByteReader& r) {
   out.phases.setup_s = r.f64();
   out.phases.sim_s = r.f64();
   out.phases.analysis_s = r.f64();
-  const std::uint32_t nm = r.u32();
-  if (!r.fail()) out.metrics.points.reserve(nm);
+  // name length, kind, count, value, min, max.
+  const std::uint32_t nm = r.count(4 + 1 + 8 + 8 + 8 + 8);
+  out.metrics.points.reserve(nm);
   for (std::uint32_t i = 0; i < nm && !r.fail(); ++i) {
     obs::MetricPoint p;
     p.name = r.str();
@@ -254,8 +273,8 @@ RunOutput get_run_output(ByteReader& r) {
     p.max = r.f64();
     out.metrics.points.push_back(std::move(p));
   }
-  const std::uint32_t nt = r.u32();
-  if (!r.fail()) out.trace.reserve(nt);
+  const std::uint32_t nt = r.count(8 + 8 + 8 + 8 + 1 + 1);
+  out.trace.reserve(nt);
   for (std::uint32_t i = 0; i < nt && !r.fail(); ++i) {
     obs::TraceRecord t;
     t.time_us = r.i64();
@@ -507,7 +526,9 @@ std::string encode_checkpoint(const CampaignCheckpoint& cp) {
   return out;
 }
 
-std::variant<CampaignCheckpoint, CheckpointError> decode_checkpoint(
+namespace {
+
+std::variant<CampaignCheckpoint, CheckpointError> decode_unguarded(
     std::string_view bytes) {
   if (bytes.size() < sizeof(kMagic)) {
     return make_error(CheckpointErrorKind::kTruncated,
@@ -575,6 +596,24 @@ std::variant<CampaignCheckpoint, CheckpointError> decode_checkpoint(
                       "payload structure disagrees with its own counts");
   }
   return cp;
+}
+
+}  // namespace
+
+std::variant<CampaignCheckpoint, CheckpointError> decode_checkpoint(
+    std::string_view bytes) {
+  // Every count is bounded by the bytes that remain, so an allocation
+  // failure here means the host is out of memory rather than a hostile
+  // length field; either way the caller gets a typed error, not a throw.
+  try {
+    return decode_unguarded(bytes);
+  } catch (const std::bad_alloc&) {
+    return make_error(CheckpointErrorKind::kMalformed,
+                      "allocation failed while decoding");
+  } catch (const std::length_error&) {
+    return make_error(CheckpointErrorKind::kMalformed,
+                      "length out of range while decoding");
+  }
 }
 
 bool write_checkpoint(const std::string& path, const CampaignCheckpoint& cp,

@@ -16,9 +16,11 @@
 #include <variant>
 #include <vector>
 
+#include "dot11/crc32.h"
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
 #include "support/atomic_file.h"
+#include "support/rng.h"
 
 namespace cityhunter {
 namespace {
@@ -359,6 +361,108 @@ TEST_F(CheckpointCampaignTest, CheckpointEveryIsValidated) {
   sim::ParallelConfig cfg{1};
   cfg.checkpoint_every = 0;
   EXPECT_THROW(sim::run_campaigns(*world_, runs, cfg), std::invalid_argument);
+}
+
+// Seeded mutation fuzzer over a real checkpoint: two finished runs, one
+// sampling a series and one carrying obs metrics and a trace, so every
+// length-prefixed section is present. Each mutation re-seals the length
+// field and the CRC, so the damage reaches the structural decoder instead
+// of stopping at the container checks. The decoder must answer with a typed
+// error or a clean decode, never an exception (and, under
+// -DCITYHUNTER_SANITIZE=address, never an oversized allocation).
+TEST_F(CheckpointCampaignTest, MutationFuzzYieldsTypedErrorsNeverThrows) {
+  auto runs = small_runs();
+  runs.erase(runs.begin(), runs.begin() + 2);
+  runs.resize(2);
+  const auto outputs = sim::run_campaigns(*world_, runs, {1});
+  ASSERT_EQ(sim::failed_runs(outputs), 0u);
+  sim::CampaignCheckpoint cp;
+  cp.config_hash = sim::campaign_config_hash(*world_, runs);
+  cp.total_runs = 2;
+  for (std::uint32_t i = 0; i < 2; ++i) cp.completed.push_back({i, outputs[i]});
+  const std::string clean = sim::encode_checkpoint(cp);
+  ASSERT_TRUE(std::holds_alternative<sim::CampaignCheckpoint>(
+      sim::decode_checkpoint(clean)));
+
+  const auto put_le = [](std::string& b, std::size_t at, std::uint64_t v,
+                         int width) {
+    for (int k = 0; k < width && at + k < b.size(); ++k) {
+      b[at + k] = static_cast<char>((v >> (8 * k)) & 0xff);
+    }
+  };
+  // Re-seal: patch the header's total length (bytes 8..15) and append a
+  // fresh CRC over everything before the trailer.
+  const auto reseal = [&put_le](std::string& body) {
+    std::string out = std::move(body);
+    put_le(out, 8, out.size() + 4, 8);
+    const std::uint32_t crc = dot11::crc32(std::span(
+        reinterpret_cast<const std::uint8_t*>(out.data()), out.size()));
+    for (int k = 0; k < 4; ++k) {
+      out.push_back(static_cast<char>((crc >> (8 * k)) & 0xff));
+    }
+    return out;
+  };
+
+  // Where each run's bytes start: the header is fixed-size, and run 1
+  // follows run 0, whose length a one-run checkpoint gives away. The
+  // sequence counts sit in a run's first few KB, while its trace fills the
+  // rest; half the mutations land there, so a damaged or shifted count is
+  // common instead of a 1-in-10^4 event.
+  sim::CampaignCheckpoint first = cp;
+  first.completed.resize(1);
+  const std::size_t run_start[2] = {
+      32, sim::encode_checkpoint(first).size() - 4};
+
+  constexpr int kMutations = 2000;
+  support::Rng rng(0xF022);
+  int errors = 0;
+  int decoded = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    std::string body = clean.substr(0, clean.size() - 4);
+    // Leave magic and version alone: damage there stops at the first check
+    // and fuzzes nothing.
+    const std::size_t at =
+        rng.chance(0.5)
+            ? std::min(run_start[rng.index(2)] + rng.index(4096),
+                       body.size() - 1)
+            : 16 + rng.index(body.size() - 16);
+    switch (rng.index(5)) {
+      case 0:  // one bit
+        body[at] = static_cast<char>(body[at] ^ (1 << rng.index(8)));
+        break;
+      case 1:  // one byte
+        body[at] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2: {  // a hostile 32-bit count or length
+        const std::uint64_t huge[] = {0xFFFFFFFFu, 0x7FFFFFFFu, 0x8AA38000u,
+                                      0x10000u, rng.next_u64()};
+        put_le(body, at, huge[rng.index(5)], 4);
+        break;
+      }
+      case 3:  // cut the payload short
+        body.resize(at);
+        break;
+      default:  // splice in a run of one random byte value
+        body.insert(at, std::string(1 + rng.index(16),
+                                    static_cast<char>(rng.uniform_int(0, 255))));
+        break;
+    }
+    const std::string bytes = reseal(body);
+    try {
+      const auto result = sim::decode_checkpoint(bytes);
+      if (std::holds_alternative<sim::CheckpointError>(result)) {
+        ++errors;
+      } else {
+        ++decoded;
+        // A clean decode is a checkpoint the encoder can write again.
+        (void)sim::encode_checkpoint(std::get<sim::CampaignCheckpoint>(result));
+      }
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << m << " threw " << e.what();
+    }
+  }
+  EXPECT_EQ(errors + decoded, kMutations);
+  EXPECT_GT(errors, 0);
 }
 
 // --- atomic file writer (support/atomic_file) ---

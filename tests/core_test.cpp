@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_set>
 
 #include "client/smartphone.h"
 #include "core/buffers.h"
@@ -70,20 +72,20 @@ TEST(SsidDatabase, ByWeightOrdering) {
   db.add("low", 1, SsidSource::kDirectProbe, SimTime::zero());
   db.add("high", 100, SsidSource::kWiglePopular, SimTime::zero());
   db.add("mid", 50, SsidSource::kWigleNearby, SimTime::zero());
-  const auto v = db.by_weight();
+  const auto& v = db.by_weight();
   ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0]->ssid, "high");
-  EXPECT_EQ(v[1]->ssid, "mid");
-  EXPECT_EQ(v[2]->ssid, "low");
+  EXPECT_EQ(db.record(v[0]).ssid, "high");
+  EXPECT_EQ(db.record(v[1]).ssid, "mid");
+  EXPECT_EQ(db.record(v[2]).ssid, "low");
 }
 
 TEST(SsidDatabase, ByWeightTieBreaksByInsertion) {
   SsidDatabase db;
   db.add("first", 10, SsidSource::kDirectProbe, SimTime::zero());
   db.add("second", 10, SsidSource::kDirectProbe, SimTime::zero());
-  const auto v = db.by_weight();
-  EXPECT_EQ(v[0]->ssid, "first");
-  EXPECT_EQ(v[1]->ssid, "second");
+  const auto& v = db.by_weight();
+  EXPECT_EQ(db.record(v[0]).ssid, "first");
+  EXPECT_EQ(db.record(v[1]).ssid, "second");
 }
 
 TEST(SsidDatabase, ByFreshnessOnlyHitRecordsMostRecentFirst) {
@@ -93,23 +95,10 @@ TEST(SsidDatabase, ByFreshnessOnlyHitRecordsMostRecentFirst) {
   db.add("new-hit", 1, SsidSource::kDirectProbe, SimTime::zero());
   db.record_hit("old-hit", 0, SimTime::seconds(10));
   db.record_hit("new-hit", 0, SimTime::seconds(20));
-  const auto v = db.by_freshness();
+  const auto& v = db.by_freshness();
   ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[0]->ssid, "new-hit");
-  EXPECT_EQ(v[1]->ssid, "old-hit");
-}
-
-TEST(SsidDatabase, VersionBumpsOnEveryMutation) {
-  SsidDatabase db;
-  const auto v0 = db.version();
-  db.add("a", 1, SsidSource::kDirectProbe, SimTime::zero());
-  const auto v1 = db.version();
-  EXPECT_NE(v0, v1);
-  db.observe_direct("a", 1, 1, SimTime::zero());
-  const auto v2 = db.version();
-  EXPECT_NE(v1, v2);
-  db.record_hit("a", 1, SimTime::zero());
-  EXPECT_NE(v2, db.version());
+  EXPECT_EQ(db.record(v[0]).ssid, "new-hit");
+  EXPECT_EQ(db.record(v[1]).ssid, "old-hit");
 }
 
 TEST(SsidDatabase, CountFromSource) {
@@ -120,6 +109,72 @@ TEST(SsidDatabase, CountFromSource) {
   EXPECT_EQ(db.count_from(SsidSource::kWiglePopular), 2u);
   EXPECT_EQ(db.count_from(SsidSource::kDirectProbe), 1u);
   EXPECT_EQ(db.count_from(SsidSource::kCarrierSeed), 0u);
+}
+
+// The orders as a full sort computes them (the comparators by_weight() and
+// by_freshness() used to re-sort with on every read).
+std::vector<SsidId> sorted_by_weight(const SsidDatabase& db) {
+  std::vector<SsidId> out(db.size());
+  for (SsidId id = 0; id < out.size(); ++id) out[id] = id;
+  std::sort(out.begin(), out.end(), [&db](SsidId a, SsidId b) {
+    const auto& x = db.record(a);
+    const auto& y = db.record(b);
+    if (x.weight != y.weight) return x.weight > y.weight;
+    return a < b;  // insertion order
+  });
+  return out;
+}
+
+std::vector<SsidId> sorted_by_freshness(const SsidDatabase& db) {
+  std::vector<SsidId> out;
+  for (SsidId id = 0; id < db.size(); ++id) {
+    if (db.record(id).last_hit) out.push_back(id);
+  }
+  std::sort(out.begin(), out.end(), [&db](SsidId a, SsidId b) {
+    const auto& x = db.record(a);
+    const auto& y = db.record(b);
+    if (*x.last_hit != *y.last_hit) return *x.last_hit > *y.last_hit;
+    return a < b;  // insertion order
+  });
+  return out;
+}
+
+TEST(SsidDatabase, MaintainedOrdersMatchFullSortUnderRandomMutation) {
+  Rng rng(0x5D1D);
+  SsidDatabase db;
+  // Few distinct names, integer weights and coarse times: plenty of ties
+  // on both keys, re-adds, and hits that move records both ways.
+  const auto name = [&rng] { return "s" + std::to_string(rng.index(120)); };
+  for (int op = 0; op < 4000; ++op) {
+    switch (rng.index(8)) {
+      case 0:
+      case 1:
+      case 2:
+        db.add(name(), static_cast<double>(rng.uniform_int(0, 20)),
+               SsidSource::kWiglePopular, SimTime::zero());
+        break;
+      case 3:
+      case 4:
+        db.observe_direct(name(), static_cast<double>(rng.uniform_int(0, 20)),
+                          static_cast<double>(rng.uniform_int(-3, 5)),
+                          SimTime::zero());
+        break;
+      case 5:
+      case 6:
+        db.record_hit(name(), static_cast<double>(rng.uniform_int(-2, 4)),
+                      SimTime::seconds(rng.uniform_int(0, 30)));
+        break;
+      default: {
+        SsidDatabase copy;
+        copy.restore(db.records());
+        db = copy;
+        break;
+      }
+    }
+    ASSERT_EQ(db.by_weight(), sorted_by_weight(db)) << "op " << op;
+    ASSERT_EQ(db.by_freshness(), sorted_by_freshness(db)) << "op " << op;
+  }
+  EXPECT_GT(db.by_freshness().size(), 10u);
 }
 
 // --- BufferSelector ---
@@ -137,10 +192,10 @@ TEST(BufferSelector, FillsBudgetFromPopularityWhenNothingFresh) {
   auto db = weighted_db(100);
   BufferSelectorConfig cfg;
   BufferSelector sel(cfg, Rng(1));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = sel.select(db, nullptr);
   EXPECT_EQ(choices.size(), 40u);
   // Highest-weight SSIDs come first (modulo the ghost swap at the tail).
-  EXPECT_EQ(choices[0].ssid, "pop-0");
+  EXPECT_EQ(db.record(choices[0].id).ssid, "pop-0");
   EXPECT_EQ(choices[0].tag, SelectionTag::kPopularity);
 }
 
@@ -149,14 +204,14 @@ TEST(BufferSelector, GhostPicksComeFromBeyondTheBuffer) {
   BufferSelectorConfig cfg;
   cfg.use_freshness = false;  // single-buffer: budget = 40, 2 ghost picks
   BufferSelector sel(cfg, Rng(2));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = sel.select(db, nullptr);
   ASSERT_EQ(choices.size(), 40u);
   int ghost_count = 0;
   for (const auto& c : choices) {
     if (c.tag == SelectionTag::kPopularityGhost) {
       ++ghost_count;
       // Ghost candidates are ranks 39..58 (0-based): beyond the main 38.
-      const int rank = std::stoi(c.ssid.substr(4));
+      const int rank = std::stoi(db.record(c.id).ssid.substr(4));
       EXPECT_GE(rank, 38);
       EXPECT_LT(rank, 58);
     }
@@ -170,7 +225,7 @@ TEST(BufferSelector, NoGhostsWhenDisabled) {
   cfg.use_ghosts = false;
   BufferSelector sel(cfg, Rng(3));
   for (const auto& c :
-       sel.select(db.by_weight(), db.by_freshness(), nullptr)) {
+       sel.select(db, nullptr)) {
     EXPECT_NE(c.tag, SelectionTag::kPopularityGhost);
     EXPECT_NE(c.tag, SelectionTag::kFreshnessGhost);
   }
@@ -185,7 +240,7 @@ TEST(BufferSelector, FreshEntriesFillTheFreshnessBuffer) {
   BufferSelectorConfig cfg;
   cfg.initial_pb_size = 32;  // FB = 8
   BufferSelector sel(cfg, Rng(4));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = sel.select(db, nullptr);
   EXPECT_EQ(choices.size(), 40u);
   int fresh = 0;
   for (const auto& c : choices) {
@@ -204,32 +259,204 @@ TEST(BufferSelector, NoDuplicateSsidsInOneSelection) {
     db.record_hit("pop-" + std::to_string(i), 0.0, SimTime::seconds(i));
   }
   BufferSelector sel(BufferSelectorConfig{}, Rng(5));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = sel.select(db, nullptr);
   std::set<std::string> seen;
   for (const auto& c : choices) {
-    EXPECT_TRUE(seen.insert(c.ssid).second) << "duplicate " << c.ssid;
+    const std::string& ssid = db.record(c.id).ssid;
+    EXPECT_TRUE(seen.insert(ssid).second) << "duplicate " << ssid;
   }
 }
 
 TEST(BufferSelector, UntriedFilterSkipsSentSsids) {
   auto db = weighted_db(100);
-  std::unordered_set<std::string> sent;
-  for (int i = 0; i < 40; ++i) sent.insert("pop-" + std::to_string(i));
+  SsidIdSet sent;
+  for (int i = 0; i < 40; ++i) sent.insert(db.id_of("pop-" + std::to_string(i)));
   BufferSelector sel(BufferSelectorConfig{}, Rng(6));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), &sent);
+  const auto choices = sel.select(db, &sent);
   for (const auto& c : choices) {
-    EXPECT_EQ(sent.count(c.ssid), 0u) << c.ssid;
+    EXPECT_FALSE(sent.contains(c.id)) << db.record(c.id).ssid;
   }
   EXPECT_EQ(choices.size(), 40u);  // ranks 40..99 remain
 }
 
 TEST(BufferSelector, ExhaustedDatabaseYieldsShortSelection) {
   auto db = weighted_db(25);
-  std::unordered_set<std::string> sent;
-  for (int i = 0; i < 20; ++i) sent.insert("pop-" + std::to_string(i));
+  SsidIdSet sent;
+  for (int i = 0; i < 20; ++i) sent.insert(db.id_of("pop-" + std::to_string(i)));
   BufferSelector sel(BufferSelectorConfig{}, Rng(7));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), &sent);
+  const auto choices = sel.select(db, &sent);
   EXPECT_EQ(choices.size(), 5u);
+}
+
+// The string-set selector the id-based one replaced, verbatim apart from
+// its choice type: the single oracle for selection equivalence.
+struct OracleChoice {
+  std::string ssid;
+  SelectionTag tag;
+  SsidSource source;
+};
+
+class OracleSelector {
+ public:
+  OracleSelector(BufferSelectorConfig cfg, support::Rng rng)
+      : cfg_(cfg), rng_(std::move(rng)), pb_size_(cfg.initial_pb_size) {
+    pb_size_ = std::clamp(pb_size_, cfg_.min_buffer_size,
+                          cfg_.budget - cfg_.min_buffer_size);
+  }
+  int pb_size() const { return pb_size_; }
+  void set_pb_size(int pb) { pb_size_ = pb; }
+
+  static std::vector<const SsidRecord*> collect(
+      const std::vector<const SsidRecord*>& ranked, std::size_t want,
+      const std::unordered_set<std::string>* already_sent,
+      const std::unordered_set<const SsidRecord*>& used) {
+    std::vector<const SsidRecord*> out;
+    out.reserve(want);
+    for (const auto* rec : ranked) {
+      if (out.size() >= want) break;
+      if (used.count(rec) != 0) continue;
+      if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
+        continue;
+      }
+      out.push_back(rec);
+    }
+    return out;
+  }
+
+  void emit_buffer(const std::vector<const SsidRecord*>& candidates,
+                   std::size_t main_size, SelectionTag main_tag,
+                   SelectionTag ghost_tag, std::vector<OracleChoice>& out) {
+    std::vector<const SsidRecord*> main(
+        candidates.begin(),
+        candidates.begin() + static_cast<long>(
+                                 std::min(main_size, candidates.size())));
+    std::vector<const SsidRecord*> ghosts(
+        candidates.begin() + static_cast<long>(main.size()), candidates.end());
+
+    std::size_t picks = 0;
+    if (cfg_.use_ghosts) {
+      picks = std::min({static_cast<std::size_t>(cfg_.ghost_picks),
+                        ghosts.size(), main.size()});
+    }
+    main.resize(main.size() - picks);
+    for (const auto* rec : main) {
+      out.push_back(OracleChoice{rec->ssid, main_tag, rec->source});
+    }
+    if (picks > 0) {
+      const auto idx = rng_.sample_indices(ghosts.size(), picks);
+      for (const auto i : idx) {
+        out.push_back(
+            OracleChoice{ghosts[i]->ssid, ghost_tag, ghosts[i]->source});
+      }
+    }
+  }
+
+  std::vector<OracleChoice> select(
+      const std::vector<const SsidRecord*>& by_weight,
+      const std::vector<const SsidRecord*>& by_freshness,
+      const std::unordered_set<std::string>* already_sent) {
+    const auto budget = static_cast<std::size_t>(cfg_.budget);
+    std::vector<OracleChoice> out;
+    out.reserve(budget);
+    std::unordered_set<const SsidRecord*> used;
+    const auto pb_target = cfg_.use_freshness
+                               ? static_cast<std::size_t>(pb_size())
+                               : budget;
+    const auto p_cands = collect(
+        by_weight, pb_target + static_cast<std::size_t>(cfg_.ghost_size),
+        already_sent, used);
+    emit_buffer(p_cands, std::min(pb_target, p_cands.size()),
+                SelectionTag::kPopularity, SelectionTag::kPopularityGhost, out);
+    for (const auto* rec : p_cands) used.insert(rec);
+    if (cfg_.use_freshness && out.size() < budget) {
+      const std::size_t fresh_want = budget - out.size();
+      const auto f_cands = collect(
+          by_freshness, fresh_want + static_cast<std::size_t>(cfg_.ghost_size),
+          already_sent, used);
+      emit_buffer(f_cands, std::min(fresh_want, f_cands.size()),
+                  SelectionTag::kFreshness, SelectionTag::kFreshnessGhost, out);
+      for (const auto* rec : f_cands) used.insert(rec);
+    }
+    if (out.size() < budget) {
+      std::unordered_set<std::string> chosen;
+      for (const auto& c : out) chosen.insert(c.ssid);
+      for (const auto* rec : by_weight) {
+        if (out.size() >= budget) break;
+        if (chosen.count(rec->ssid) != 0) continue;
+        if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
+          continue;
+        }
+        out.push_back(
+            OracleChoice{rec->ssid, SelectionTag::kPopularity, rec->source});
+      }
+    }
+    return out;
+  }
+
+ private:
+  BufferSelectorConfig cfg_;
+  support::Rng rng_;
+  int pb_size_;
+};
+
+std::vector<const SsidRecord*> pointers(const SsidDatabase& db,
+                                        const std::vector<SsidId>& ids) {
+  std::vector<const SsidRecord*> out;
+  for (const SsidId id : ids) out.push_back(&db.record(id));
+  return out;
+}
+
+TEST(BufferSelector, MatchesStringSetOracleOnRandomDatabases) {
+  Rng rng(0xB0FF);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    SsidDatabase db;
+    const int n = static_cast<int>(rng.index(260));
+    for (int i = 0; i < n; ++i) {
+      db.add("n" + std::to_string(rng.index(400)),
+             static_cast<double>(rng.uniform_int(1, 60)),
+             static_cast<SsidSource>(rng.index(4)), SimTime::zero());
+    }
+    const int hits = static_cast<int>(rng.index(60));
+    for (int i = 0; i < hits; ++i) {
+      db.record_hit("n" + std::to_string(rng.index(400)), 8.0,
+                    SimTime::seconds(rng.uniform_int(0, 20)));
+    }
+    BufferSelectorConfig cfg;
+    cfg.budget = static_cast<int>(rng.uniform_int(8, 60));
+    cfg.initial_pb_size = static_cast<int>(rng.uniform_int(0, cfg.budget));
+    cfg.ghost_size = static_cast<int>(rng.uniform_int(0, 30));
+    cfg.ghost_picks = static_cast<int>(rng.uniform_int(0, 6));
+    cfg.use_freshness = rng.chance(0.8);
+    cfg.use_ghosts = rng.chance(0.8);
+    const bool track = rng.chance(0.8);
+    const std::uint64_t seed = rng.next_u64();
+    BufferSelector sel(cfg, Rng(seed));
+    OracleSelector oracle(cfg, Rng(seed));
+    const auto by_weight = pointers(db, db.by_weight());
+    const auto by_fresh = pointers(db, db.by_freshness());
+    SsidIdSet sent;
+    std::unordered_set<std::string> sent_names;
+    // Successive scans of one client: each train joins its sent set.
+    for (int scan = 0; scan < 4; ++scan) {
+      const auto got = sel.select(db, track ? &sent : nullptr);
+      const auto want =
+          oracle.select(by_weight, by_fresh, track ? &sent_names : nullptr);
+      ASSERT_EQ(got.size(), want.size()) << "scan " << scan;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(db.record(got[i].id).ssid, want[i].ssid) << i;
+        EXPECT_EQ(got[i].tag, want[i].tag) << i;
+        EXPECT_EQ(got[i].source, want[i].source) << i;
+        sent.insert(got[i].id);
+        sent_names.insert(want[i].ssid);
+      }
+      // Ghost feedback moves both selectors' split the same way.
+      if (!got.empty()) {
+        sel.notify_hit(got.back().tag);
+        oracle.set_pb_size(sel.pb_size());
+      }
+    }
+  }
 }
 
 TEST(BufferSelector, AdaptationGrowsAndShrinksPb) {

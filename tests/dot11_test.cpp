@@ -81,6 +81,37 @@ TEST(Crc32, SensitiveToSingleBitFlip) {
   EXPECT_NE(crc32(data), base);
 }
 
+// The byte-at-a-time table CRC: the single oracle the sliced implementation
+// must match on every length and alignment.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(0xC4C32);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32(std::span(p, len)), crc32_bytewise(p, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
 // --- Information elements ---
 
 TEST(IeList, SsidElement) {

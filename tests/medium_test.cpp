@@ -905,6 +905,173 @@ TEST(MediumEquivalence, CompactionStormMatchesLegacyScanAcrossPipelines) {
   }
 }
 
+// --- Receive-address filter ---
+
+TEST_F(MediumTest, RxFilterCountsButDoesNotDispatchForeignUnicast) {
+  Collector filtered;
+  Collector promiscuous;
+  const auto mine = *MacAddress::parse("02:00:00:00:00:0a");
+  const auto other = *MacAddress::parse("02:00:00:00:00:0b");
+  const auto ap_mac = *MacAddress::parse("02:00:00:00:00:01");
+  auto tx = medium.attach({0, 0}, 6, 20.0);
+  auto rx = medium.attach({10, 0}, 6, 15.0, &filtered);
+  medium.attach({12, 0}, 6, 15.0, &promiscuous);
+  rx.set_rx_address(mine);
+
+  const auto send_all = [&] {
+    tx.transmit(dot11::make_probe_response(ap_mac, other, "x", 6, true));
+    tx.transmit(dot11::make_probe_response(ap_mac, mine, "x", 6, true));
+    tx.transmit(dot11::make_broadcast_probe_request(ap_mac));
+    events.run_all();
+  };
+  send_all();
+  // The foreign unicast counts as delivered but never reaches the sink.
+  EXPECT_EQ(rx.frames_received(), 3u);
+  ASSERT_EQ(filtered.frames.size(), 2u);
+  EXPECT_EQ(filtered.frames[0].header.addr1, mine);
+  EXPECT_TRUE(filtered.frames[1].header.addr1.is_broadcast());
+  EXPECT_EQ(promiscuous.frames.size(), 3u);
+  EXPECT_EQ(medium.deliveries(), 6u);
+
+  // A new address (per-scan MAC randomisation) takes effect at once.
+  rx.set_rx_address(other);
+  send_all();
+  ASSERT_EQ(filtered.frames.size(), 4u);
+  EXPECT_EQ(filtered.frames[2].header.addr1, other);
+  // Back to monitor mode: everything is dispatched again.
+  rx.set_rx_address(std::nullopt);
+  send_all();
+  EXPECT_EQ(filtered.frames.size(), 7u);
+  EXPECT_EQ(rx.frames_received(), 9u);
+}
+
+TEST_F(MediumTest, RxAddressTravelsWithExportedRadio) {
+  Collector sink;
+  const auto mine = *MacAddress::parse("02:00:00:00:00:0a");
+  const auto other = *MacAddress::parse("02:00:00:00:00:0b");
+  auto rx = medium.attach({10, 0}, 6, 15.0, &sink);
+  rx.set_rx_address(mine);
+  const auto snapshot = medium.export_radio(rx);
+  ASSERT_TRUE(snapshot.rx_address.has_value());
+  EXPECT_EQ(*snapshot.rx_address, mine);
+
+  EventQueue events_b;
+  Medium medium_b(events_b);
+  auto tx = medium_b.attach({0, 0}, 6, 20.0);
+  auto rx_b = medium_b.import_radio(snapshot, &sink);
+  tx.transmit(dot11::make_probe_response(mine, other, "x", 6, true));
+  tx.transmit(dot11::make_probe_response(other, mine, "x", 6, true));
+  events_b.run_all();
+  EXPECT_EQ(rx_b.frames_received(), 2u);
+  ASSERT_EQ(sink.frames.size(), 1u);
+  EXPECT_EQ(sink.frames[0].header.addr1, mine);
+  // A promiscuous radio exports no address.
+  auto plain = medium_b.attach({5, 5}, 6, 15.0, &sink);
+  EXPECT_FALSE(medium_b.export_radio(plain).rx_address.has_value());
+}
+
+// Address-filtering population vs the scan oracle. Every sink honours the
+// filter contract (it drops unicast frames for another address on its
+// first line) and logs the rest; half the radios also declare their
+// address to the Medium. The scan never filters, so equal logs and
+// counters show the filter changes no output, through address changes and
+// export/import handoffs mid-run, on a perfect and on a lossy channel.
+struct FilterRig {
+  struct AddressedSink : FrameSink {
+    std::vector<DeliveryRecord>* log = nullptr;
+    std::uint64_t tag = 0;  // stable across handoffs (ids are not)
+    MacAddress addr;
+    void on_frame(const dot11::Frame& frame, const RxInfo& info) override {
+      const MacAddress& to = frame.header.addr1;
+      if (!to.is_multicast() && !(to == addr)) return;
+      log->push_back({tag, info.time.us(), info.rssi_dbm, info.channel});
+    }
+  };
+
+  EventQueue events;
+  Medium medium;
+  std::vector<std::unique_ptr<AddressedSink>> sinks;
+  std::vector<Radio> radios;
+  std::vector<bool> declares;
+  std::vector<DeliveryRecord> log;
+
+  explicit FilterRig(Medium::Config cfg) : medium(events, cfg) {}
+
+  void set_address(std::size_t i, const MacAddress& addr) {
+    sinks[i]->addr = addr;
+    if (declares[i]) radios[i].set_rx_address(addr);
+  }
+
+  void replay(std::uint64_t seed, int ops) {
+    Rng rng(seed);
+    const auto pos = [&rng]() -> Position {
+      return {rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0)};
+    };
+    for (int i = 0; i < 40; ++i) {
+      auto sink = std::make_unique<AddressedSink>();
+      sink->log = &log;
+      sink->tag = static_cast<std::uint64_t>(i);
+      radios.push_back(medium.attach(pos(), 6, rng.chance(0.3) ? 20.0 : 15.0,
+                                     sink.get()));
+      sinks.push_back(std::move(sink));
+      declares.push_back(i % 2 == 0);
+      set_address(radios.size() - 1, MacAddress::random_local(rng));
+    }
+    for (int op = 0; op < ops; ++op) {
+      const std::size_t i = rng.index(radios.size());
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < 0.1) {
+        set_address(i, MacAddress::random_local(rng));  // new scan MAC
+      } else if (roll < 0.15) {
+        const auto snap = medium.export_radio(radios[i]);
+        radios[i] = medium.import_radio(snap, sinks[i].get());
+      } else if (roll < 0.25) {
+        radios[i].set_position(pos());
+      } else {
+        // Mostly unicast trains to a live address, the venue's traffic.
+        const MacAddress src = sinks[i]->addr;
+        const double kind = rng.uniform(0.0, 1.0);
+        if (kind < 0.2) {
+          radios[i].transmit(dot11::make_broadcast_probe_request(src));
+        } else {
+          const MacAddress dst =
+              kind < 0.9 ? sinks[rng.index(sinks.size())]->addr
+                         : MacAddress::random_local(rng);
+          radios[i].transmit(
+              dot11::make_probe_response(src, dst, "train", 6, true));
+        }
+        events.run_all();
+      }
+    }
+  }
+};
+
+TEST(MediumEquivalence, AddressFilteringSinksMatchScanOracle) {
+  for (const bool fault : {false, true}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "fault " << fault << " seed "
+                                        << seed);
+      FilterRig scan(fuzz_config(false, false, false, fault));
+      // Exact math on the perfect channel keeps RSSI bitwise comparable;
+      // the lossy path is exact anyway, so it runs with the LUT and cache.
+      FilterRig batched(fuzz_config(true, fault, true, fault));
+      scan.replay(seed, 600);
+      batched.replay(seed, 600);
+      EXPECT_GT(scan.log.size(), 150u);
+      EXPECT_EQ(scan.log, batched.log);
+      EXPECT_EQ(scan.medium.deliveries(), batched.medium.deliveries());
+      EXPECT_EQ(scan.medium.frames_lost(), batched.medium.frames_lost());
+      EXPECT_EQ(scan.medium.drops(), batched.medium.drops());
+      for (std::size_t i = 0; i < scan.radios.size(); ++i) {
+        EXPECT_EQ(scan.radios[i].frames_received(),
+                  batched.radios[i].frames_received());
+        EXPECT_EQ(scan.radios[i].frames_lost(),
+                  batched.radios[i].frames_lost());
+      }
+    }
+  }
+}
+
 // --- Pair pathloss cache ---
 
 TEST(MediumPairCache, EpochInvalidationOnMoveAndExactValues) {
